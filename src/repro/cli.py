@@ -148,7 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default="auto",
-        help="array backend for the neighborhood primitives",
+        help="array backend for first_fit_colors (jp, speculative and the "
+        "other first-fit algorithms); the maxmin/edge-centric/jp neighbor "
+        "reductions run over live edges and ignore it",
     )
     p_color.add_argument(
         "--priority",

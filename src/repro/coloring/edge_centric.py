@@ -20,7 +20,7 @@ import numpy as np
 
 from ..engine.context import RunContext, resolve_context
 from ..graphs.csr import CSRGraph
-from ._nbr import neighbor_max, neighbor_min
+from ._nbr import LiveEdges
 from .base import UNCOLORED, ColoringResult, IterationRecord
 from .kernels import GPUExecutor
 from .maxmin import compact_colors
@@ -65,11 +65,10 @@ def edge_centric_maxmin(
     uncolored vertex (uniform O(1) items — zero divergence), then a
     vertex decision kernel over the active set. Produces exactly the
     coloring :func:`maxmin_coloring` produces for the same seed.
-    ``context`` supplies the default seed and array backend when given.
+    ``context`` supplies the default seed when given.
     """
     ctx = resolve_context(context, executor)
     seed = ctx.resolve_seed(seed)
-    backend = ctx.backend
     n = graph.num_vertices
     colors = np.full(n, UNCOLORED, dtype=np.int64)
     priorities = make_priorities(graph, priority, seed=seed)
@@ -79,21 +78,20 @@ def edge_centric_maxmin(
     cap = max_iterations if max_iterations is not None else n + 1
 
     uncolored = np.ones(n, dtype=bool)
+    live = LiveEdges(graph)
     k = 0
     while uncolored.any():
         if k >= cap:
             break
         active_ids = np.flatnonzero(uncolored)
-        pr_hi = np.where(uncolored, priorities, -np.inf)
-        pr_lo = np.where(uncolored, priorities, np.inf)
-        nbr_hi = neighbor_max(graph, pr_hi, backend=backend)
-        nbr_lo = neighbor_min(graph, pr_lo, backend=backend)
+        nbr_hi, nbr_lo = live.extrema(priorities)
         is_max = uncolored & (priorities > nbr_hi)
         is_min = uncolored & (priorities < nbr_lo) & ~is_max
         colors[is_max] = 2 * k
         colors[is_min] = 2 * k + 1
         newly = int(is_max.sum() + is_min.sum())
         uncolored &= ~(is_max | is_min)
+        live.retain(uncolored)
 
         cycles = 0.0
         eff = None

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..engine.context import RunContext, resolve_context
 from ..graphs.csr import CSRGraph
-from ._nbr import first_fit_colors, neighbor_max
+from ._nbr import LiveEdges, first_fit_colors
 from .base import UNCOLORED, ColoringResult, IterationRecord
 from .kernels import GPUExecutor
 from .priorities import make_priorities
@@ -51,18 +51,19 @@ def jones_plassmann_coloring(
     cap = max_iterations if max_iterations is not None else n + 1
 
     uncolored = np.ones(n, dtype=bool)
+    live = LiveEdges(graph)
     k = 0
     while uncolored.any():
         if k >= cap:
             break
         active_ids = np.flatnonzero(uncolored)
-        pr_hi = np.where(uncolored, priorities, -np.inf)
-        winners = uncolored & (priorities > neighbor_max(graph, pr_hi, backend=backend))
+        winners = uncolored & (priorities > live.maximum(priorities))
         winner_ids = np.flatnonzero(winners)
         # Winners form an independent set among uncolored vertices, so
         # assigning all their first-fit colors at once cannot conflict.
         colors[winner_ids] = first_fit_colors(graph, colors, winner_ids, backend=backend)
         uncolored[winner_ids] = False
+        live.retain(uncolored)
 
         cycles = 0.0
         eff = None

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..engine.context import RunContext, resolve_context
 from ..graphs.csr import CSRGraph
-from ._nbr import neighbor_max, neighbor_min
+from ._nbr import LiveEdges
 from .base import UNCOLORED, ColoringResult, IterationRecord
 from .kernels import GPUExecutor
 from .priorities import make_priorities
@@ -76,12 +76,11 @@ def maxmin_coloring(
     compact:
         Remap the final colors to a dense ``0..k-1`` range.
     context:
-        Run context supplying the default seed and the array backend;
-        resolved from ``executor`` (or a fresh default) when omitted.
+        Run context supplying the default seed; resolved from
+        ``executor`` (or a fresh default) when omitted.
     """
     ctx = resolve_context(context, executor)
     seed = ctx.resolve_seed(seed)
-    backend = ctx.backend
     n = graph.num_vertices
     colors = np.full(n, UNCOLORED, dtype=np.int64)
     priorities = make_priorities(graph, priority, seed=seed)
@@ -91,6 +90,7 @@ def maxmin_coloring(
     cap = max_iterations if max_iterations is not None else n + 1
 
     uncolored = np.ones(n, dtype=bool)
+    live = LiveEdges(graph)
     k = 0
     while uncolored.any():
         if k >= cap:
@@ -100,16 +100,14 @@ def maxmin_coloring(
             break
         # One kernel sweep: every uncolored vertex reads uncolored
         # neighbors' priorities and tests for local max / local min.
-        pr_hi = np.where(uncolored, priorities, -np.inf)
-        pr_lo = np.where(uncolored, priorities, np.inf)
-        nbr_hi = neighbor_max(graph, pr_hi, backend=backend)
-        nbr_lo = neighbor_min(graph, pr_lo, backend=backend)
+        nbr_hi, nbr_lo = live.extrema(priorities)
         is_max = uncolored & (priorities > nbr_hi)
         is_min = uncolored & (priorities < nbr_lo) & ~is_max
         colors[is_max] = 2 * k
         colors[is_min] = 2 * k + 1
         newly = int(is_max.sum() + is_min.sum())
         uncolored &= ~(is_max | is_min)
+        live.retain(uncolored)
 
         cycles = 0.0
         eff = None

@@ -53,9 +53,11 @@ BACKENDS = ("auto", "numpy", "chunked")
 class ArrayBackend(Protocol):
     """The primitive surface every backend provides.
 
-    ``neighbor_reduce`` is the segment reduction every independent-set
-    sweep is built from; ``first_fit_colors`` is the mex kernel the
-    first-fit algorithms share. Implementations must be pure functions
+    ``neighbor_reduce`` is the full-adjacency segment reduction (the
+    race-scanner replays use it; the maxmin/edge-centric/jp sweeps reduce
+    over :class:`~repro.coloring._nbr.LiveEdges` instead);
+    ``first_fit_colors`` is the mex kernel the first-fit algorithms
+    share. Implementations must be pure functions
     of their inputs (no hidden state) so results never depend on which
     backend ran them.
     """

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.coloring._nbr import (
+    LiveEdges,
     first_fit_colors,
     neighbor_max,
     neighbor_min,
@@ -75,6 +79,83 @@ class TestNeighborReduce:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             neighbor_max(gen.path(3), np.zeros(2))
+
+
+@st.composite
+def graphs_values_masks(draw, max_vertices=30, max_edges=90):
+    """A random graph, per-vertex values, and a shrinking uncolored-mask sequence."""
+    n = draw(st.integers(1, max_vertices))
+    m = draw(st.integers(0, max_edges))
+    u = draw(arrays(np.int64, m, elements=st.integers(0, n - 1)))
+    v = draw(arrays(np.int64, m, elements=st.integers(0, n - 1)))
+    values = draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
+    masks = draw(st.lists(arrays(np.bool_, n), max_size=5))
+    return CSRGraph.from_edges(u, v, num_vertices=n), values, masks
+
+
+def assert_matches_masked(live, graph, values, uncolored):
+    """Live reductions equal the masked full-graph ones on uncolored rows."""
+    hi, lo = live.extrema(values)
+    ref_hi = neighbor_max(graph, np.where(uncolored, values, -np.inf))
+    ref_lo = neighbor_min(graph, np.where(uncolored, values, np.inf))
+    assert np.array_equal(hi[uncolored], ref_hi[uncolored])
+    assert np.array_equal(lo[uncolored], ref_lo[uncolored])
+    assert np.array_equal(live.maximum(values), hi)
+    # colored rows lost every live edge: they get the identity
+    assert np.all(hi[~uncolored] == -np.inf) and np.all(lo[~uncolored] == np.inf)
+
+
+class TestLiveEdges:
+    @given(graphs_values_masks())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_masked_full_reduction(self, data):
+        g, values, masks = data
+        live = LiveEdges(g)
+        uncolored = np.ones(g.num_vertices, dtype=bool)
+        assert_matches_masked(live, g, values, uncolored)
+        for mask in masks:
+            uncolored &= mask  # vertices only ever get colored
+            live.retain(uncolored)
+            owner = np.repeat(np.arange(g.num_vertices), g.degrees)
+            assert live.num_edges == int((uncolored[owner] & uncolored[g.indices]).sum())
+            assert_matches_masked(live, g, values, uncolored)
+
+    def test_edgeless_graph(self):
+        live = LiveEdges(CSRGraph.empty(4))
+        hi, lo = live.extrema(np.arange(4.0))
+        assert np.all(hi == -np.inf) and np.all(lo == np.inf)
+        assert live.num_edges == 0
+        live.retain(np.array([True, False, True, False]))
+        assert np.all(live.maximum(np.arange(4.0)) == -np.inf)
+
+    def test_all_vertices_colored(self):
+        g = gen.rmat(6, edge_factor=4, seed=2)
+        live = LiveEdges(g)
+        live.retain(np.zeros(g.num_vertices, dtype=bool))
+        assert live.num_edges == 0
+        hi, lo = live.extrema(np.arange(g.num_vertices, dtype=float))
+        assert np.all(hi == -np.inf) and np.all(lo == np.inf)
+
+    def test_trailing_isolated_rows(self):
+        # reduceat's empty-segment quirk lives at the array end — cover it
+        g = CSRGraph.from_edges([0, 1], [1, 2], num_vertices=6)
+        hi, lo = LiveEdges(g).extrema(np.arange(6.0))
+        assert hi.tolist() == [1.0, 2.0, 1.0, -np.inf, -np.inf, -np.inf]
+        assert lo.tolist() == [1.0, 0.0, 1.0, np.inf, np.inf, np.inf]
+
+    def test_row_with_all_neighbors_colored(self):
+        g = gen.star(3)  # hub 0, leaves 1..3
+        live = LiveEdges(g)
+        live.retain(np.array([True, False, False, False]))
+        hi, lo = live.extrema(np.array([5.0, 9.0, 1.0, 7.0]))
+        assert hi[0] == -np.inf and lo[0] == np.inf
+        assert live.num_edges == 0
+
+    def test_arrays_are_int32(self):
+        g = gen.rmat(6, edge_factor=4, seed=1)
+        live = LiveEdges(g)
+        live.retain(np.arange(g.num_vertices) % 3 > 0)
+        assert live._src.dtype == np.int32 and live._dst.dtype == np.int32
 
 
 class TestFirstFitColors:
