@@ -42,7 +42,6 @@ from pathlib import Path
 
 from .analysis.tables import format_kv, format_table
 from .coloring.kernels import MAPPINGS, SCHEDULES
-from .engine.backend import BACKENDS
 from .engine.context import RunContext
 from .gpusim.device import named_device
 from .graphs.csr import CSRGraph
@@ -77,7 +76,6 @@ def _make_context(args: argparse.Namespace) -> RunContext:
     return RunContext(
         device=named_device(args.device),
         seed=getattr(args, "seed", 0),
-        backend=getattr(args, "backend", "auto"),
     )
 
 
@@ -144,14 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_color.add_argument("--chunk-size", type=int, default=1024)
     p_color.add_argument("--degree-threshold", type=int, default=64)
     p_color.add_argument("--sort-by-degree", action="store_true")
-    p_color.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="auto",
-        help="array backend for first_fit_colors (jp, speculative and the "
-        "other first-fit algorithms); the maxmin/edge-centric/jp neighbor "
-        "reductions run over live edges and ignore it",
-    )
     p_color.add_argument(
         "--priority",
         choices=("random", "degree", "smallest_last"),

@@ -8,20 +8,18 @@ reductions over CSR neighbor lists and the first-fit (mex) kernel.
   the directed edges whose two endpoints are still uncolored, shrunk
   after every sweep, with max and min fused into one gather. It calls
   NumPy directly, never an array backend.
-* The free functions below are full-adjacency reductions and the
-  first-fit kernel, served by the
-  :class:`~repro.engine.backend.ArrayBackend` surface (NumPy
-  ``reduceat`` single-pass by default, chunk-parallel for large graphs)
-  and taking an optional ``backend=`` argument. ``first_fit_colors``
-  serves jp and the first-fit algorithms; the full reductions serve the
-  race-scanner replays and tests.
+* The free functions at the bottom are the full-adjacency reductions
+  and the first-fit kernel of
+  :class:`~repro.engine.backend.NumpyBackend`. The race-scanner replays
+  and tests call them; the algorithms call first-fit through
+  ``RunContext.backend`` so a counting or timing backend can stand in.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..engine.backend import ArrayBackend, get_default_backend
+from ..engine.backend import NumpyBackend
 from ..graphs.csr import CSRGraph
 
 __all__ = [
@@ -102,53 +100,10 @@ class LiveEdges:
         self._segment()
 
 
-def neighbor_reduce(
-    graph: CSRGraph,
-    values: np.ndarray,
-    op: np.ufunc,
-    fill: float,
-    *,
-    backend: ArrayBackend | None = None,
-) -> np.ndarray:
-    """Per-vertex ``op``-reduction of ``values`` over the neighbor lists.
-
-    ``values`` is indexed by vertex id; rows with no neighbors get
-    ``fill``, which must be ``op``'s identity (−inf for max, +inf for
-    min, 0 for add).
-    """
-    be = backend if backend is not None else get_default_backend()
-    return be.neighbor_reduce(graph, values, op, fill)
-
-
-def neighbor_max(
-    graph: CSRGraph, values: np.ndarray, *, backend: ArrayBackend | None = None
-) -> np.ndarray:
-    """Per-vertex max of neighbor ``values`` (−inf for isolated rows)."""
-    be = backend if backend is not None else get_default_backend()
-    return be.neighbor_max(graph, values)
-
-
-def neighbor_min(
-    graph: CSRGraph, values: np.ndarray, *, backend: ArrayBackend | None = None
-) -> np.ndarray:
-    """Per-vertex min of neighbor ``values`` (+inf for isolated rows)."""
-    be = backend if backend is not None else get_default_backend()
-    return be.neighbor_min(graph, values)
-
-
-def first_fit_colors(
-    graph: CSRGraph,
-    colors: np.ndarray,
-    vertices: np.ndarray,
-    *,
-    backend: ArrayBackend | None = None,
-) -> np.ndarray:
-    """Smallest color not used by any neighbor, for each given vertex.
-
-    Vertex ``v`` with degree ``d`` gets a color in ``[0, d]`` (pigeonhole
-    guarantees one is free). ``colors`` may contain
-    :data:`~repro.coloring.base.UNCOLORED`; those neighbors block
-    nothing. Fully vectorized over all requested vertices.
-    """
-    be = backend if backend is not None else get_default_backend()
-    return be.first_fit_colors(graph, colors, vertices)
+# The full-adjacency reductions and the first-fit kernel, as plain
+# functions over the one NumPy implementation.
+_NUMPY = NumpyBackend()
+neighbor_reduce = _NUMPY.neighbor_reduce
+neighbor_max = _NUMPY.neighbor_max
+neighbor_min = _NUMPY.neighbor_min
+first_fit_colors = _NUMPY.first_fit_colors

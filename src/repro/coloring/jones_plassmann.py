@@ -14,7 +14,7 @@ import numpy as np
 
 from ..engine.context import RunContext, resolve_context
 from ..graphs.csr import CSRGraph
-from ._nbr import LiveEdges, first_fit_colors
+from ._nbr import LiveEdges
 from .base import UNCOLORED, ColoringResult, IterationRecord
 from .kernels import GPUExecutor
 from .priorities import make_priorities
@@ -61,7 +61,7 @@ def jones_plassmann_coloring(
         winner_ids = np.flatnonzero(winners)
         # Winners form an independent set among uncolored vertices, so
         # assigning all their first-fit colors at once cannot conflict.
-        colors[winner_ids] = first_fit_colors(graph, colors, winner_ids, backend=backend)
+        colors[winner_ids] = backend.first_fit_colors(graph, colors, winner_ids)
         uncolored[winner_ids] = False
         live.retain(uncolored)
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..engine.context import RunContext, resolve_context
 from ..graphs.csr import CSRGraph
-from ._nbr import first_fit_colors
 from .base import UNCOLORED, ColoringResult, IterationRecord
 from .kernels import GPUExecutor
 
@@ -59,7 +58,7 @@ def speculative_rounds(
             break
         # Kernel 1: every active vertex speculatively first-fit colors
         # itself against the snapshot (assignments land "simultaneously").
-        colors[active] = first_fit_colors(graph, colors, active, backend=backend)
+        colors[active] = backend.first_fit_colors(graph, colors, active)
 
         # Kernel 2: conflict detection — a monochromatic edge uncolors
         # its lower-priority endpoint (the loser retries next round).

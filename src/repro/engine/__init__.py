@@ -5,24 +5,15 @@ The three pieces every run is assembled from:
 * :class:`~repro.engine.context.RunContext` — device, memory model,
   seed, backend, and the counter/trace sinks, threaded explicitly
   through algorithms, executor, harness, and CLI.
-* :class:`~repro.engine.backend.ArrayBackend` — the swappable
-  neighborhood-primitive surface (NumPy ``reduceat`` default,
-  chunk-parallel thread pool for large graphs).
+* :class:`~repro.engine.backend.ArrayBackend` — the neighborhood
+  primitives behind ``RunContext.backend``: one NumPy implementation,
+  and a seam where a test or profiler can substitute its own.
 * :class:`~repro.engine.plan.ExecutionPlan` /
   :class:`~repro.engine.plan.PlanCache` — memoized per-iteration work
   distributions (degree partitions, chunk ranges, wavefront costs).
 """
 
-from .backend import (
-    BACKENDS,
-    ArrayBackend,
-    AutoBackend,
-    ChunkParallelBackend,
-    NumpyBackend,
-    get_default_backend,
-    make_backend,
-    set_default_backend,
-)
+from .backend import ArrayBackend, NumpyBackend, make_backend
 from .context import RunContext, resolve_context
 from .plan import (
     ExecutionPlan,
@@ -33,14 +24,9 @@ from .plan import (
 )
 
 __all__ = [
-    "BACKENDS",
     "ArrayBackend",
-    "AutoBackend",
-    "ChunkParallelBackend",
     "NumpyBackend",
-    "get_default_backend",
     "make_backend",
-    "set_default_backend",
     "RunContext",
     "resolve_context",
     "ExecutionPlan",

@@ -25,14 +25,9 @@ import numpy as np
 from ..gpusim.counters import ExecutionCounters
 from ..gpusim.device import RADEON_HD_7950, DeviceConfig
 from ..gpusim.memory import MemoryModel
-from ..obs.sink import (
-    DEFAULT_TRACE_CAPACITY,
-    LegacyDictListSink,
-    RingBufferSink,
-    TeeSink,
-)
+from ..obs.sink import DEFAULT_TRACE_CAPACITY, RingBufferSink, TeeSink
 from ..obs.tracer import Tracer
-from .backend import ArrayBackend, get_default_backend, make_backend
+from .backend import ArrayBackend, make_backend
 from .plan import PlanCache
 
 if TYPE_CHECKING:
@@ -56,9 +51,10 @@ class RunContext:
         Default RNG seed for algorithms that are not given one
         explicitly (priorities, conflict tie-breaks).
     backend:
-        Array backend for the neighborhood primitives — an
-        :class:`~repro.engine.backend.ArrayBackend` instance or a name
-        (``"auto"``/``"numpy"``/``"chunked"``).
+        Array backend for the first-fit kernel — an
+        :class:`~repro.engine.backend.ArrayBackend` instance (a test or
+        profiler substitutes its own here) or a name resolved through
+        :func:`~repro.engine.backend.make_backend`.
     counters:
         Run-level profiling sink; every executor in the context
         aggregates into it in addition to its own per-run window.
@@ -69,37 +65,21 @@ class RunContext:
         engine, runtime simulators, scheduler, and harness emit typed
         :class:`~repro.obs.events.TraceEvent` records through it. Most
         callers use :meth:`enable_tracing` instead of building one.
-    trace:
-        Deprecated legacy sink: when a list is supplied, every timed
-        kernel appends a ``{name, cycles, simd_efficiency, ...}`` dict
-        (adapted onto the typed sink via
-        :class:`~repro.obs.sink.LegacyDictListSink`). Unbounded — new
-        code should call :meth:`enable_tracing`, whose ring buffer
-        retains only the newest events (see :mod:`repro.obs.sink` for
-        the retention policy).
     """
 
     device: DeviceConfig = RADEON_HD_7950
     memory: MemoryModel | None = None
     seed: int = 0
-    backend: ArrayBackend | str = "auto"
+    backend: ArrayBackend | str = "numpy"
     counters: ExecutionCounters = field(default_factory=ExecutionCounters)
     plans: PlanCache = field(default_factory=PlanCache)
     tracer: Tracer | None = None
-    trace: list[dict] | None = None
 
     def __post_init__(self) -> None:
         if self.memory is None:
             self.memory = MemoryModel(self.device)
         if isinstance(self.backend, str):
             self.backend = make_backend(self.backend)
-        if self.trace is not None:
-            legacy = LegacyDictListSink(self.trace)
-            self.tracer = (
-                Tracer(legacy)
-                if self.tracer is None
-                else Tracer(TeeSink((self.tracer.sink, legacy)))
-            )
 
     # ------------------------------------------------------------------
 
@@ -154,12 +134,11 @@ def resolve_context(
     """The context an algorithm call should run under.
 
     Preference order: the explicitly passed ``context``, then the
-    executor's own context, then a fresh default (whose backend is the
-    process-wide default, so untimed runs share one thread pool).
+    executor's own context, then a fresh default.
     """
     if context is not None:
         return context
     ctx = getattr(executor, "context", None)
     if ctx is not None:
         return ctx
-    return RunContext(backend=get_default_backend())
+    return RunContext()

@@ -31,7 +31,6 @@ from .export import (
 from .registry import UNPHASED, MetricsRegistry, PhaseStats
 from .sink import (
     DEFAULT_TRACE_CAPACITY,
-    LegacyDictListSink,
     RingBufferSink,
     TeeSink,
     TraceSink,
@@ -46,7 +45,6 @@ __all__ = [
     "TraceSink",
     "RingBufferSink",
     "TeeSink",
-    "LegacyDictListSink",
     "DEFAULT_TRACE_CAPACITY",
     "Tracer",
     "MetricsRegistry",

@@ -31,7 +31,6 @@ __all__ = [
     "TraceSink",
     "RingBufferSink",
     "TeeSink",
-    "LegacyDictListSink",
 ]
 
 #: default ring-buffer capacity — ~64k events is hours of simulated
@@ -93,34 +92,6 @@ class TeeSink:
     def emit(self, event: TraceEvent) -> None:
         for sink in self.sinks:
             sink.emit(event)
-
-
-class LegacyDictListSink:
-    """Adapter for the deprecated ``RunContext.trace`` ``list[dict]``.
-
-    Pre-observability code passed a bare list and received raw kernel
-    dicts. This sink keeps that contract alive — kernel events are
-    appended in the old shape, everything else is ignored — while the
-    engine itself only ever talks to the typed sink protocol. The list
-    is as unbounded as it always was; new code should use
-    :class:`RingBufferSink`.
-    """
-
-    def __init__(self, target: list[dict]) -> None:
-        self.target = target
-
-    def emit(self, event: TraceEvent) -> None:
-        if event.cat != "kernel":
-            return
-        self.target.append(
-            {
-                "name": event.name,
-                "cycles": event.dur,
-                "simd_efficiency": event.args.get("simd_efficiency"),
-                "bandwidth_bound": event.args.get("bandwidth_bound"),
-                "work_items": event.args.get("work_items"),
-            }
-        )
 
 
 def _as_events(source: "TraceSink | Iterable[TraceEvent]") -> Sequence[TraceEvent]:

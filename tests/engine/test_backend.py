@@ -1,27 +1,22 @@
-"""Backend-surface tests: edge cases and cross-backend parity.
+"""Backend-surface tests: edge cases and construction.
 
-The historical ``_nbr`` reduceat quirks (empty graphs, isolated
-vertices, single-vertex graphs) are exercised here *through* the
-``ArrayBackend`` interface, and every case is asserted identical across
-the NumPy and chunk-parallel implementations.
+The ``reduceat`` quirks (empty graphs, isolated vertices, single-vertex
+graphs) are exercised here *through* the ``ArrayBackend`` interface of
+the NumPy implementation. Brute-force checks of the reductions and
+first-fit live in ``tests/coloring/test_nbr.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.coloring.base import UNCOLORED
-from repro.engine.backend import (
-    BACKENDS,
-    ArrayBackend,
-    AutoBackend,
-    ChunkParallelBackend,
-    NumpyBackend,
-    get_default_backend,
-    make_backend,
-    set_default_backend,
-)
+from repro.coloring import _nbr
+from repro.engine import context as context_mod
+from repro.engine.backend import ArrayBackend, NumpyBackend, make_backend
+from repro.engine.context import RunContext
 from repro.graphs.csr import CSRGraph
-from repro.graphs.generators import rmat
+from repro.harness import suite
+from repro.harness.runner import run_gpu_coloring
 
 
 def _graph_from_edges(n, edges):
@@ -30,11 +25,7 @@ def _graph_from_edges(n, edges):
     return CSRGraph.from_edges(u, v, num_vertices=n)
 
 
-BACKEND_OBJECTS = [
-    NumpyBackend(),
-    ChunkParallelBackend(num_threads=3, min_chunk=2),
-    AutoBackend(threshold=0),  # always routes to the chunked side
-]
+BACKEND_OBJECTS = [NumpyBackend()]
 
 
 @pytest.fixture(params=BACKEND_OBJECTS, ids=lambda b: repr(b))
@@ -117,40 +108,10 @@ class TestValidation:
             backend.first_fit_colors(g, colors, np.array([-1]))
 
 
-class TestBackendParity:
-    """Chunked results must be bit-identical to the NumPy reference."""
-
-    def test_reductions_match_on_random_graph(self):
-        g = rmat(8, seed=3)
-        rng = np.random.default_rng(0)
-        vals = rng.normal(size=g.num_vertices)
-        ref = NumpyBackend()
-        chunked = ChunkParallelBackend(num_threads=4, min_chunk=8)
-        np.testing.assert_array_equal(ref.neighbor_max(g, vals), chunked.neighbor_max(g, vals))
-        np.testing.assert_array_equal(ref.neighbor_min(g, vals), chunked.neighbor_min(g, vals))
-        np.testing.assert_array_equal(
-            ref.neighbor_reduce(g, vals, np.add, 0.0),
-            chunked.neighbor_reduce(g, vals, np.add, 0.0),
-        )
-
-    def test_first_fit_matches_on_random_graph(self):
-        g = rmat(8, seed=4)
-        rng = np.random.default_rng(1)
-        colors = rng.integers(-1, 5, size=g.num_vertices)
-        verts = np.flatnonzero(colors == UNCOLORED)
-        ref = NumpyBackend().first_fit_colors(g, colors, verts)
-        got = ChunkParallelBackend(num_threads=4, min_chunk=4).first_fit_colors(
-            g, colors, verts
-        )
-        np.testing.assert_array_equal(ref, got)
-
-
 class TestConstruction:
     def test_make_backend_names(self):
         assert isinstance(make_backend("numpy"), NumpyBackend)
-        assert isinstance(make_backend("chunked"), ChunkParallelBackend)
-        assert isinstance(make_backend("auto"), AutoBackend)
-        assert set(BACKENDS) == {"auto", "numpy", "chunked"}
+        assert isinstance(make_backend("auto"), NumpyBackend)
 
     def test_make_backend_passthrough(self):
         be = NumpyBackend()
@@ -159,21 +120,50 @@ class TestConstruction:
     def test_make_backend_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("cuda")
+        with pytest.raises(ValueError, match="unknown backend"):
+            make_backend("chunked")
 
     def test_backends_satisfy_protocol(self):
         for be in BACKEND_OBJECTS:
             assert isinstance(be, ArrayBackend)
 
-    def test_default_backend_roundtrip(self):
-        original = get_default_backend()
-        try:
-            prev = set_default_backend("numpy")
-            assert prev is original
-            assert isinstance(get_default_backend(), NumpyBackend)
-        finally:
-            set_default_backend(original)
 
-    def test_auto_routes_by_size(self):
-        auto = AutoBackend(threshold=10)
-        assert auto._pick(9) is auto._small
-        assert auto._pick(10) is auto._large
+#: the real kernel, captured before any test patches the class
+_first_fit = NumpyBackend.first_fit_colors
+
+
+class CountingBackend:
+    """A substitute backend: counts first-fit calls, delegates the answer."""
+
+    name = "counting"
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def first_fit_colors(self, graph, colors, vertices):
+        self.calls += 1
+        return _first_fit(NumpyBackend(), graph, colors, vertices)
+
+
+class TestContextSeam:
+    """A fake returned by ``context.make_backend`` serves every first-fit."""
+
+    @pytest.mark.parametrize("algorithm", ["jp", "speculative", "partitioned", "hybrid-switch"])
+    def test_first_fit_routes_through_substitute(self, algorithm, monkeypatch):
+        g = suite.build("rmat", "tiny")
+        ctx = RunContext()
+        plain = run_gpu_coloring(g, algorithm, ctx.executor(), seed=3, context=ctx)
+
+        def bypass(*args, **kwargs):
+            raise AssertionError("first-fit bypassed RunContext.backend")
+
+        monkeypatch.setattr(context_mod, "make_backend", lambda spec: CountingBackend())
+        monkeypatch.setattr(NumpyBackend, "first_fit_colors", bypass)
+        monkeypatch.setattr(_nbr, "first_fit_colors", bypass)
+        ctx = RunContext()
+        routed = run_gpu_coloring(g, algorithm, ctx.executor(), seed=3, context=ctx)
+
+        assert isinstance(ctx.backend, CountingBackend)
+        assert ctx.backend.calls > 0
+        np.testing.assert_array_equal(routed.colors, plain.colors)
+        assert routed.total_cycles == plain.total_cycles

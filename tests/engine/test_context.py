@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.coloring.kernels import ExecutionConfig, GPUExecutor
-from repro.engine.backend import ChunkParallelBackend, NumpyBackend
+from repro.engine.backend import NumpyBackend
 from repro.engine.context import RunContext, resolve_context
 from repro.graphs.generators import rmat
 from repro.gpusim.device import RADEON_HD_7950, DeviceConfig
@@ -24,7 +24,7 @@ class TestDefaults:
         assert isinstance(ctx.backend, NumpyBackend)
 
     def test_backend_instance_passes_through(self):
-        be = ChunkParallelBackend(num_threads=2)
+        be = object()  # any substitute, e.g. a timing or counting fake
         assert RunContext(backend=be).backend is be
 
     def test_rng_deterministic(self):
@@ -87,14 +87,14 @@ class TestCounterAggregation:
         assert ctx.counters.kernels_launched == 2
 
     def test_trace_sink_records_kernels(self):
-        ctx = RunContext(trace=[])
+        ctx = RunContext()
+        ring = ctx.enable_tracing()
         ex = ctx.executor()
         ex.time_iteration(np.arange(1, 10), name="probe")
-        assert len(ctx.trace) == 1
-        event = ctx.trace[0]
-        assert event["name"] == "probe"
-        assert event["cycles"] > 0
-        assert event["work_items"] == 9
+        (event,) = [e for e in ring.events if e.cat == "kernel"]
+        assert event.name == "probe"
+        assert event.dur > 0
+        assert event.args["work_items"] == 9
 
 
 class TestAlgorithmIntegration:

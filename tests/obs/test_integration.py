@@ -99,13 +99,3 @@ class TestCoverage:
         assert len(ring) <= 4
         assert ring.emitted > 4
         assert ring.dropped == ring.emitted - len(ring)
-
-
-class TestLegacyShim:
-    def test_trace_list_still_receives_kernel_dicts(self):
-        ctx = RunContext(trace=[])
-        ex = ctx.executor()
-        ex.time_iteration(np.arange(1, 20), name="probe")
-        assert len(ctx.trace) == 1
-        assert ctx.trace[0]["name"] == "probe"
-        assert ctx.trace[0]["cycles"] > 0

@@ -1,10 +1,9 @@
-"""Unit tests for trace sinks: ring bounds, tee fan-out, legacy shim."""
+"""Unit tests for trace sinks: ring bounds and tee fan-out."""
 
 import pytest
 
 from repro.obs.events import TraceEvent
 from repro.obs.sink import (
-    LegacyDictListSink,
     RingBufferSink,
     TeeSink,
     TraceSink,
@@ -67,35 +66,3 @@ class TestTeeSink:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             TeeSink(())
-
-
-class TestLegacyDictListSink:
-    def test_kernel_events_append_old_shape(self):
-        target = []
-        sink = LegacyDictListSink(target)
-        sink.emit(
-            TraceEvent(
-                name="assign",
-                cat="kernel",
-                ts=0.0,
-                dur=120.0,
-                args={"simd_efficiency": 0.8, "bandwidth_bound": False,
-                      "work_items": 64},
-            )
-        )
-        assert target == [
-            {
-                "name": "assign",
-                "cycles": 120.0,
-                "simd_efficiency": 0.8,
-                "bandwidth_bound": False,
-                "work_items": 64,
-            }
-        ]
-
-    def test_non_kernel_events_ignored(self):
-        target = []
-        sink = LegacyDictListSink(target)
-        sink.emit(ev(0, cat="steal"))
-        sink.emit(ev(1, cat="phase"))
-        assert target == []

@@ -61,8 +61,11 @@ class TestColorCommand:
         assert rc == 0
 
     def test_backend_option(self, capsys):
-        assert main(["color", "road", "--scale", "tiny", "--backend", "chunked"]) == 0
-        assert "result (validated)" in capsys.readouterr().out
+        # there is one array backend; the old selector is an unknown option
+        with pytest.raises(SystemExit) as exc:
+            main(["color", "road", "--scale", "tiny", "--backend", "numpy"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_file_input(self, tmp_path, capsys):
         p = tmp_path / "g.col"
