@@ -37,7 +37,7 @@ Schedules (how work reaches compute units):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -414,15 +414,7 @@ class GPUExecutor:
                 pop_cycles=dev.atomic_cycles / 8.0,
             )
             if steal_cfg.num_workers != workers:
-                steal_cfg = StealingConfig(
-                    num_workers=workers,
-                    steal_cycles=steal_cfg.steal_cycles,
-                    pop_cycles=steal_cfg.pop_cycles,
-                    steal_policy=steal_cfg.steal_policy,
-                    steal_fraction=steal_cfg.steal_fraction,
-                    max_failed_attempts=steal_cfg.max_failed_attempts,
-                    seed=steal_cfg.seed,
-                )
+                steal_cfg = replace(steal_cfg, num_workers=workers)
             res = simulate_work_stealing(
                 chunk_cyc, owner, steal_cfg, tracer=self.context.tracer
             )

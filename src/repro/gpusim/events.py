@@ -1,11 +1,12 @@
 """Minimal discrete-event engine for persistent-kernel simulation.
 
 Grid dispatch (``scheduler.dispatch``) is a one-shot schedule, but the
-work-stealing runtime needs genuine time interleaving: a worker's next
-action (pop own deque, steal, go idle) depends on the *global* state at
+persistent runtimes need genuine time interleaving: a worker's next
+action (pop own deque, fetch, go idle) depends on the *global* state at
 the moment it becomes free. :class:`EventSimulator` provides the usual
 time-ordered callback queue with deterministic tie-breaking (insertion
-order at equal timestamps), which the load-balancing runtimes build on.
+order at equal timestamps). The work-donation runtime builds on it; work
+stealing keeps the same event order in its own two-phase loop.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..gpusim.events import EventSimulator
 from ..gpusim.trace import Timeline
-from .workstealing import StealingResult
+from .workstealing import StealingResult, as_chunk_costs
 
 if TYPE_CHECKING:
     from ..obs.tracer import Tracer
@@ -76,12 +76,10 @@ def simulate_work_donation(
     track shows both balancers' migrations). Tracing is observation
     only: it never changes the schedule or the reported cycles.
     """
-    costs = np.asarray(chunk_cycles, dtype=np.float64).ravel()
+    costs = as_chunk_costs(chunk_cycles)
     who = np.asarray(owner, dtype=np.int64).ravel()
     if costs.shape != who.shape:
         raise ValueError("chunk_cycles and owner must align")
-    if costs.size and costs.min() < 0:
-        raise ValueError("chunk costs must be non-negative")
     w = config.num_workers
     if who.size and (who.min() < 0 or who.max() >= w):
         raise ValueError("owner out of range")

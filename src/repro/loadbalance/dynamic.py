@@ -15,7 +15,7 @@ import heapq
 import numpy as np
 
 from ..gpusim.trace import Timeline
-from .workstealing import StealingResult
+from .workstealing import StealingResult, as_chunk_costs
 
 __all__ = ["simulate_dynamic_fetch"]
 
@@ -36,11 +36,9 @@ def simulate_dynamic_fetch(
     chunk executes. Chunks are taken in index order by whichever worker
     frees up first — deterministic greedy list scheduling.
     """
-    costs = np.asarray(chunk_cycles, dtype=np.float64).ravel()
+    costs = as_chunk_costs(chunk_cycles)
     if num_workers <= 0:
         raise ValueError("num_workers must be positive")
-    if costs.size and costs.min() < 0:
-        raise ValueError("chunk costs must be non-negative")
     if atomic_cycles < 0 or contention_factor < 0:
         raise ValueError("overheads must be non-negative")
 

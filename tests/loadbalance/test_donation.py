@@ -98,6 +98,13 @@ class TestDonationConfigValidation:
                 np.array([-1.0]), np.array([0]), DonationConfig(num_workers=1)
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_costs_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            simulate_work_donation(
+                np.array([1.0, bad]), np.array([0, 0]), DonationConfig(num_workers=1)
+            )
+
     def test_owner_out_of_range(self):
         with pytest.raises(ValueError):
             simulate_work_donation(

@@ -61,6 +61,11 @@ class TestDynamicFetch:
         with pytest.raises(ValueError):
             simulate_dynamic_fetch(np.array([1.0]), 2, atomic_cycles=-1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_costs(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            simulate_dynamic_fetch(np.array([1.0, bad]), 2)
+
     def test_empty(self):
         res = simulate_dynamic_fetch(np.array([]), 3)
         assert res.makespan_cycles == 0.0

@@ -42,6 +42,11 @@ class TestStaticPersistent:
         with pytest.raises(ValueError):
             simulate_static_persistent(np.array([1.0, 2.0]), np.array([0]), 2)
 
+    @pytest.mark.parametrize("costs", [[-5.0, 1.0], [1.0, np.inf], [np.nan, 1.0]])
+    def test_rejects_bad_costs(self, costs):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            simulate_static_persistent(np.array(costs), np.array([0, 1]), 2)
+
 
 class TestWorkStealing:
     def test_all_work_executes(self):
@@ -236,3 +241,25 @@ class TestStealingConfigValidation:
     def test_negative_overheads(self):
         with pytest.raises(ValueError):
             StealingConfig(num_workers=1, steal_cycles=-1)
+
+    @pytest.mark.parametrize("field", ["steal_cycles", "pop_cycles"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_overheads(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            StealingConfig(num_workers=2, **{field: bad})
+
+    def test_max_failed_attempts_at_least_one(self):
+        with pytest.raises(ValueError, match="max_failed_attempts"):
+            StealingConfig(num_workers=2, max_failed_attempts=0)
+        StealingConfig(num_workers=2, max_failed_attempts=1)
+
+
+class TestStealingCostValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_costs(self, bad):
+        # NaN once slipped through `costs.min() < 0` and came back as
+        # a finite makespan with NaN busy cycles
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            simulate_work_stealing(
+                np.array([10.0, bad]), np.array([0, 1]), StealingConfig(num_workers=2)
+            )
