@@ -18,7 +18,7 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from .base import UNCOLORED, ColoringResult, InvalidColoringError, IterationRecord
-from .kernels import GPUExecutor
+from .kernels import GPUExecutor, SweepLog
 
 __all__ = [
     "greedy_distance2",
@@ -148,8 +148,7 @@ def speculative_distance2(
     rng = np.random.default_rng(seed)
     priorities = rng.permutation(n)
     work = two_hop_work(graph)
-    iterations: list[IterationRecord] = []
-    total_cycles = 0.0
+    log = SweepLog(executor)
     cap = max_iterations if max_iterations is not None else n + 1
 
     active = np.arange(n, dtype=np.int64)
@@ -166,28 +165,13 @@ def speculative_distance2(
         losers = np.intersect1d(losers, active)
         colors[losers] = UNCOLORED
 
-        cycles = 0.0
-        eff = None
-        names = (f"d2_assign_it{k}", f"d2_detect_it{k}")
-        if executor is not None:
-            t1 = executor.time_iteration(work[active], name=names[0])
-            t2 = executor.time_iteration(work[active], name=names[1])
-            cycles = t1.cycles + t2.cycles
-            eff = t1.simd_efficiency
-            total_cycles += cycles
-        iterations.append(
-            IterationRecord(
-                index=k,
-                active_vertices=int(active.size),
-                newly_colored=int(active.size - losers.size),
-                cycles=cycles,
-                simd_efficiency=eff,
-                kernels=names,
-            )
-        )
+        log.sweep(k, active.size, active.size - losers.size)
+        log.vertices(f"d2_assign_it{k}", work, active)
+        log.vertices(f"d2_detect_it{k}", work, active)
         active = losers
         k += 1
 
+    iterations, total_cycles = log.finish()
     return ColoringResult(
         algorithm="speculative-distance2",
         colors=colors,

@@ -21,8 +21,8 @@ import numpy as np
 from ..engine.context import RunContext, resolve_context
 from ..graphs.csr import CSRGraph
 from ._nbr import LiveEdges
-from .base import UNCOLORED, ColoringResult, IterationRecord
-from .kernels import GPUExecutor
+from .base import UNCOLORED, ColoringResult
+from .kernels import GPUExecutor, SweepLog
 from .maxmin import compact_colors
 from .priorities import make_priorities
 
@@ -73,8 +73,11 @@ def edge_centric_maxmin(
     colors = np.full(n, UNCOLORED, dtype=np.int64)
     priorities = make_priorities(graph, priority, seed=seed)
     degrees = graph.degrees
-    iterations: list[IterationRecord] = []
-    total_cycles = 0.0
+    log = SweepLog(executor)
+    edge_cycles = decide_cycles = 0.0
+    if executor is not None:
+        edge_cycles = edge_kernel_cycles_per_item(executor)
+        decide_cycles = _vertex_decision_cycles(executor)
     cap = max_iterations if max_iterations is not None else n + 1
 
     uncolored = np.ones(n, dtype=bool)
@@ -93,38 +96,23 @@ def edge_centric_maxmin(
         uncolored &= ~(is_max | is_min)
         live.retain(uncolored)
 
-        cycles = 0.0
-        eff = None
-        names = (f"ec_edges_it{k}", f"ec_decide_it{k}")
-        if executor is not None:
-            num_edge_items = int(degrees[active_ids].sum())
-            t1 = executor.time_uniform(
-                num_edge_items,
-                edge_kernel_cycles_per_item(executor),
-                traffic_elements=2.0 * num_edge_items,
-                name=names[0],
-            )
-            t2 = executor.time_uniform(
-                int(active_ids.size),
-                _vertex_decision_cycles(executor),
-                traffic_elements=4.0 * active_ids.size,
-                name=names[1],
-            )
-            cycles = t1.cycles + t2.cycles
-            eff = t1.simd_efficiency
-            total_cycles += cycles
-        iterations.append(
-            IterationRecord(
-                index=k,
-                active_vertices=int(active_ids.size),
-                newly_colored=newly,
-                cycles=cycles,
-                simd_efficiency=eff,
-                kernels=names,
-            )
+        log.sweep(k, active_ids.size, newly)
+        num_edge_items = int(degrees[active_ids].sum())
+        log.uniform(
+            f"ec_edges_it{k}",
+            num_edge_items,
+            edge_cycles,
+            traffic_elements=2.0 * num_edge_items,
+        )
+        log.uniform(
+            f"ec_decide_it{k}",
+            int(active_ids.size),
+            decide_cycles,
+            traffic_elements=4.0 * active_ids.size,
         )
         k += 1
 
+    iterations, total_cycles = log.finish()
     return ColoringResult(
         algorithm="edge-centric-maxmin",
         colors=compact_colors(colors),

@@ -15,8 +15,8 @@ import numpy as np
 from ..engine.context import RunContext, resolve_context
 from ..graphs.csr import CSRGraph
 from ._nbr import LiveEdges
-from .base import UNCOLORED, ColoringResult, IterationRecord
-from .kernels import GPUExecutor
+from .base import UNCOLORED, ColoringResult
+from .kernels import GPUExecutor, SweepLog
 from .priorities import make_priorities
 
 __all__ = ["jones_plassmann_coloring"]
@@ -46,8 +46,7 @@ def jones_plassmann_coloring(
     colors = np.full(n, UNCOLORED, dtype=np.int64)
     priorities = make_priorities(graph, priority, seed=seed)
     degrees = graph.degrees
-    iterations: list[IterationRecord] = []
-    total_cycles = 0.0
+    log = SweepLog(executor)
     cap = max_iterations if max_iterations is not None else n + 1
 
     uncolored = np.ones(n, dtype=bool)
@@ -65,25 +64,11 @@ def jones_plassmann_coloring(
         uncolored[winner_ids] = False
         live.retain(uncolored)
 
-        cycles = 0.0
-        eff = None
-        if executor is not None:
-            timing = executor.time_iteration(degrees[active_ids], name=f"jp_it{k}")
-            cycles = timing.cycles
-            eff = timing.simd_efficiency
-            total_cycles += cycles
-        iterations.append(
-            IterationRecord(
-                index=k,
-                active_vertices=int(active_ids.size),
-                newly_colored=int(winner_ids.size),
-                cycles=cycles,
-                simd_efficiency=eff,
-                kernels=(f"jp_it{k}",),
-            )
-        )
+        log.sweep(k, active_ids.size, winner_ids.size)
+        log.vertices(f"jp_it{k}", degrees, active_ids)
         k += 1
 
+    iterations, total_cycles = log.finish()
     return ColoringResult(
         algorithm="jones-plassmann",
         colors=colors,

@@ -37,17 +37,26 @@ Schedules (how work reaches compute units):
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from ..engine.context import RunContext
-from ..engine.plan import ExecutionPlan, build_plan, degrees_fingerprint
+from ..engine.plan import (
+    ExecutionPlan,
+    _split,
+    as_degrees,
+    build_plans,
+    degrees_fingerprint,
+)
 from ..gpusim.counters import ExecutionCounters
 from ..gpusim.device import DeviceConfig
-from ..gpusim.kernel import KernelSpec
 from ..gpusim.memory import MemoryModel
-from ..gpusim.scheduler import dispatch, dispatch_tasks
+from ..gpusim.scheduler import dispatch_workgroups, workgroup_costs
+from ..gpusim.wavefront import num_wavefronts, segmented_wavefront_costs, simd_efficiency
 from ..loadbalance.dynamic import simulate_dynamic_fetch
 from ..loadbalance.workstealing import (
     StealingConfig,
@@ -55,6 +64,7 @@ from ..loadbalance.workstealing import (
     simulate_static_persistent,
     simulate_work_stealing,
 )
+from .base import IterationRecord
 
 __all__ = [
     "MAPPINGS",
@@ -62,7 +72,10 @@ __all__ = [
     "CostModel",
     "ExecutionConfig",
     "IterationTiming",
+    "LoggedKernel",
+    "SweepLog",
     "GPUExecutor",
+    "uniform_kernel",
 ]
 
 MAPPINGS = ("thread", "wavefront", "hybrid")
@@ -185,6 +198,153 @@ class IterationTiming:
     bandwidth_bound: bool = False
 
 
+#: items (active vertices, or uniform work items) one batched timing
+#: pass derives at once; bounds the pass's temporary arrays
+_WINDOW_ITEMS = 1 << 17
+
+
+class LoggedKernel(NamedTuple):
+    """One kernel launch as a host loop logged it, not yet timed.
+
+    A vertex kernel carries its active ``degrees`` (see
+    :func:`~repro.engine.plan.as_degrees`). A uniform kernel has
+    ``degrees=None`` and ``num_items`` identical items of
+    ``cycles_per_item`` each, moving ``traffic_elements`` elements.
+    """
+
+    name: str
+    degrees: np.ndarray | None = None
+    num_items: int = 0
+    cycles_per_item: float = 0.0
+    traffic_elements: float = 0.0
+
+    @property
+    def items(self) -> int:
+        return self.degrees.size if self.degrees is not None else self.num_items
+
+
+def uniform_kernel(
+    name: str, num_items: int, cycles_per_item: float, traffic_elements: float = 0.0
+) -> LoggedKernel:
+    """A validated uniform :class:`LoggedKernel`."""
+    if num_items < 0:
+        raise ValueError("num_items must be non-negative")
+    if not (math.isfinite(cycles_per_item) and cycles_per_item >= 0):
+        raise ValueError("cycles_per_item must be finite and non-negative")
+    if not (math.isfinite(traffic_elements) and traffic_elements >= 0):
+        raise ValueError("traffic_elements must be finite and non-negative")
+    return LoggedKernel(name, None, num_items, cycles_per_item, traffic_elements)
+
+
+class SweepLog:
+    """A host loop's sweeps, logged as they run and timed in one pass.
+
+    No host loop branches on simulated cycles, so a sweep only logs what
+    it launched: :meth:`sweep` opens the sweep's record and
+    :meth:`vertices` / :meth:`uniform` log its kernels. :meth:`finish`
+    times every logged kernel with one :meth:`GPUExecutor.time_kernels`
+    call, then builds the :class:`~repro.coloring.base.IterationRecord`
+    list and the total with the float additions, in the order, of
+    timing each sweep as it ran. Without an executor nothing is timed
+    and no degrees are kept.
+    """
+
+    def __init__(self, executor: GPUExecutor | None) -> None:
+        self.executor = executor
+        self.kernels: list[LoggedKernel] = []
+        self._sweeps: list[tuple[int, int, int, int]] = []
+
+    def sweep(self, index: int, active_vertices: int, newly_colored: int) -> None:
+        """Open the record of one sweep; its kernels are logged next."""
+        self._sweeps.append(
+            (index, int(active_vertices), int(newly_colored), len(self.kernels))
+        )
+
+    def vertices(self, name: str, work: np.ndarray, ids: np.ndarray) -> None:
+        """Log a vertex kernel over ``ids``; vertex ``v``'s work is ``work[v]``."""
+        degrees = as_degrees(work[ids]) if self.executor is not None else None
+        self.kernels.append(LoggedKernel(name, degrees))
+
+    def uniform(
+        self,
+        name: str,
+        num_items: int,
+        cycles_per_item: float,
+        *,
+        traffic_elements: float = 0.0,
+    ) -> None:
+        """Log a uniform kernel (see :meth:`GPUExecutor.time_uniform`)."""
+        self.kernels.append(
+            uniform_kernel(name, num_items, cycles_per_item, traffic_elements)
+        )
+
+    def finish(self) -> tuple[list[IterationRecord], float]:
+        """Time the log; returns the sweeps' records and their total cycles."""
+        timings = (
+            self.executor.time_kernels(self.kernels)
+            if self.executor is not None
+            else None
+        )
+        starts = [s[3] for s in self._sweeps]
+        ends = [*starts[1:], len(self.kernels)] if starts else []
+        records: list[IterationRecord] = []
+        total = 0.0
+        for (index, active, newly, lo), hi in zip(self._sweeps, ends, strict=True):
+            cycles: float = 0.0
+            eff = None
+            if timings is not None:
+                first, *rest = timings[lo:hi]
+                cycles, eff = first.cycles, first.simd_efficiency
+                for t in rest:
+                    cycles = cycles + t.cycles
+                total += cycles
+            records.append(
+                IterationRecord(
+                    index=index,
+                    active_vertices=active,
+                    newly_colored=newly,
+                    cycles=cycles,
+                    simd_efficiency=eff,
+                    kernels=tuple(k.name for k in self.kernels[lo:hi]),
+                )
+            )
+        return records, total
+
+
+def _windows(kernels: Sequence[LoggedKernel]) -> Iterator[list[LoggedKernel]]:
+    """Consecutive runs of kernels of at most ``_WINDOW_ITEMS`` items
+    (a bigger kernel is a window of its own)."""
+    window: list[LoggedKernel] = []
+    items = 0
+    for k in kernels:
+        if window and items + k.items > _WINDOW_ITEMS:
+            yield window
+            window, items = [], 0
+        window.append(k)
+        items += k.items
+    if window:
+        yield window
+
+
+def _workgroup_costs(
+    tasks: np.ndarray, sizes: np.ndarray, per_group: int, simd_per_cu: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`~repro.gpusim.scheduler.workgroup_costs` of every segment.
+
+    Returns ``(costs, workgroups per segment)``; no workgroup straddles
+    two segments. Groups that fit the CU's pipes cost their slowest
+    task; larger ones pack each segment's tasks, zero-padded to whole
+    groups as :func:`workgroup_costs` pads them.
+    """
+    if per_group <= simd_per_cu:
+        return segmented_wavefront_costs(tasks, sizes, per_group)
+    groups = -(-sizes // per_group)
+    shift = np.cumsum(sizes) - sizes - (np.cumsum(groups) - groups) * per_group
+    padded = np.zeros(int(groups.sum()) * per_group)
+    padded[np.arange(tasks.size) - np.repeat(shift, sizes)] = tasks
+    return workgroup_costs(padded, per_group, simd_per_cu), groups
+
+
 class GPUExecutor:
     """Times coloring-iteration kernels under a mapping × schedule.
 
@@ -193,6 +353,10 @@ class GPUExecutor:
     the fly for the legacy ``GPUExecutor(device, config, memory)`` call
     form) whose plan cache memoizes work distributions and whose
     run-level counters aggregate across every executor in the context.
+
+    Host loops log their sweeps in a :class:`SweepLog` and time the
+    whole log with :meth:`time_kernels`; :meth:`time_iteration` and
+    :meth:`time_uniform` are its one-kernel case.
     """
 
     def __init__(
@@ -228,10 +392,38 @@ class GPUExecutor:
 
     def plan_for(self, degrees: np.ndarray) -> ExecutionPlan:
         """The (cached) execution plan for one active-degree array."""
-        key = (degrees_fingerprint(degrees), self.config, self.costs)
-        return self.plans.get_or_build(
-            key, lambda: build_plan(degrees, self.config, self.costs, self.device)
+        return self._plans([as_degrees(degrees)])[0]
+
+    def _plans(self, degree_arrays: list[np.ndarray]) -> list[ExecutionPlan]:
+        """Cached plans for validated degree arrays, in order.
+
+        The lookups run in order, so the cache's hits, misses and LRU
+        order are those of one :meth:`plan_for` per array. The arrays
+        the cache lacks are derived together, once per distinct content.
+        """
+        keys = [(degrees_fingerprint(d), self.config, self.costs) for d in degree_arrays]
+        missing: dict = {}
+        for key, d in zip(keys, degree_arrays, strict=True):
+            if key not in self.plans and key not in missing:
+                missing[key] = d
+        built = dict(
+            zip(
+                missing,
+                build_plans(list(missing.values()), self.config, self.costs, self.device),
+                strict=True,
+            )
         )
+
+        def builder(key, d):
+            # a key evicted between the check above and its lookup
+            return lambda: built.get(key) or build_plans(
+                [d], self.config, self.costs, self.device
+            )[0]
+
+        return [
+            self.plans.get_or_build(key, builder(key, d))
+            for key, d in zip(keys, degree_arrays, strict=True)
+        ]
 
     def time_iteration(
         self, active_degrees: np.ndarray, *, name: str = "kernel"
@@ -241,21 +433,10 @@ class GPUExecutor:
         ``active_degrees`` are the degrees of this round's active
         vertices, in thread-id order (the engine may re-order them when
         ``sort_by_degree`` is set — legal because an iteration kernel is
-        order-independent within the round).
+        order-independent within the round). They must be non-negative
+        integers (integer-valued floats are accepted).
         """
-        deg = np.asarray(active_degrees, dtype=np.int64).ravel()
-        if deg.size == 0:
-            return IterationTiming(cycles=0.0, simd_efficiency=1.0)
-        if deg.min() < 0:
-            raise ValueError("degrees must be non-negative")
-        plan = self.plan_for(deg)
-        timing = (
-            self._grid(plan, name)
-            if self.config.schedule == "grid"
-            else self._persistent(plan, name)
-        )
-        self._observe(timing, traffic_elements=plan.traffic_elements, work_items=deg.size)
-        return timing
+        return self.time_kernels([LoggedKernel(name, as_degrees(active_degrees))])[0]
 
     def time_uniform(
         self,
@@ -272,38 +453,47 @@ class GPUExecutor:
         launch. Uniform work gains nothing from work stealing, so every
         schedule is timed as a plain grid launch.
         """
-        if num_items < 0:
-            raise ValueError("num_items must be non-negative")
-        if cycles_per_item < 0:
-            raise ValueError("cycles_per_item must be non-negative")
-        if num_items == 0:
-            return IterationTiming(cycles=0.0, simd_efficiency=1.0)
-        dev = self.device
-        from ..gpusim.wavefront import num_wavefronts
+        kernel = uniform_kernel(name, num_items, cycles_per_item, traffic_elements)
+        return self.time_kernels([kernel])[0]
 
-        n_wf = num_wavefronts(num_items, dev.wavefront_size)
-        tasks = np.full(n_wf, cycles_per_item, dtype=np.float64)
-        wf_per_group = self.config.workgroup_size // dev.wavefront_size
-        res = dispatch_tasks(
-            name,
-            tasks,
-            dev,
-            self.memory,
-            tasks_per_group=wf_per_group,
-            traffic_elements=traffic_elements,
-            tracer=self.context.tracer,
+    def time_kernels(self, kernels: Sequence[LoggedKernel]) -> list[IterationTiming]:
+        """Time logged kernels in one pass, exactly as one call each would.
+
+        Returns one :class:`IterationTiming` per kernel. Counters, trace
+        events and the plan cache see the kernels one at a time, in
+        order. The pass works in windows of a bounded item count: per
+        window, plans come through the cache with every missing plan
+        derived in one batch, and grid launches get their wavefront and
+        workgroup costs from one segmented reduction each. The
+        scheduler, the persistent-schedule simulators and the sinks
+        then run kernel by kernel.
+        """
+        out: list[IterationTiming] = []
+        for window in _windows(kernels):
+            out.extend(self._time_window(window))
+        return out
+
+    def _time_window(self, kernels: list[LoggedKernel]) -> list[IterationTiming]:
+        vertex = [k.degrees is not None and k.items > 0 for k in kernels]
+        found = iter(
+            self._plans([k.degrees for k, v in zip(kernels, vertex, strict=True) if v])
         )
-        # only the trailing partial wavefront idles lanes
-        eff = num_items / (n_wf * dev.wavefront_size)
-        timing = IterationTiming(
-            cycles=res.total_cycles,
-            simd_efficiency=eff,
-            kernels=(name,),
-            cu_busy=res.cu_busy,
-            bandwidth_bound=res.is_bandwidth_bound,
-        )
-        self._observe(timing, traffic_elements=traffic_elements, work_items=num_items)
-        return timing
+        plans = [next(found) if v else None for v in vertex]
+        grid = self._grid_launches(kernels, plans)
+        out: list[IterationTiming] = []
+        for i, (k, plan) in enumerate(zip(kernels, plans, strict=True)):
+            if not k.items:
+                out.append(IterationTiming(cycles=0.0, simd_efficiency=1.0))
+                continue
+            if i in grid:
+                kname, eff, wg_cycles, traffic = grid[i]
+                timing = self._grid_timing(kname, eff, wg_cycles, traffic)
+            else:
+                timing = self._persistent(plan, k.name)
+                traffic = plan.traffic_elements
+            self._observe(timing, traffic_elements=traffic, work_items=k.items)
+            out.append(timing)
+        return out
 
     # -- profiling sinks ------------------------------------------------
 
@@ -350,42 +540,92 @@ class GPUExecutor:
                 **args,
             )
 
-    # -- grid schedule --------------------------------------------------
+    # -- grid launches --------------------------------------------------
 
-    def _grid(self, plan: ExecutionPlan, name: str) -> IterationTiming:
+    def _grid_launches(
+        self, kernels: list[LoggedKernel], plans: list[ExecutionPlan | None]
+    ) -> dict[int, tuple[str, float, np.ndarray, float]]:
+        """Workgroup costs of every grid launch of a window.
+
+        Vertex kernels under the grid schedule and every uniform kernel
+        are ordinary launches. Their workgroup costs come from segmented
+        reductions over the window, as :func:`~repro.gpusim.scheduler.dispatch`
+        (thread mapping, lanes → wavefronts → workgroups; it refuses
+        workgroups of partial wavefronts) and
+        :func:`~repro.gpusim.scheduler.dispatch_tasks` (wavefront tasks →
+        workgroups) derive them one launch at a time. Returns, per
+        kernel position, ``(kernel name, SIMD efficiency, workgroup
+        cycles, traffic elements)``.
+        """
         cfg, dev = self.config, self.device
-        if cfg.mapping == "thread":
-            spec = KernelSpec(
-                name=name,
-                item_cycles=plan.item_cycles,
-                workgroup_size=cfg.workgroup_size,
-                traffic_elements=plan.traffic_elements,
+        width = dev.wavefront_size
+        wf_per_group = cfg.workgroup_size // width
+        grid_schedule = cfg.schedule == "grid"
+        lanes, coop, uniform = [], [], []
+        for i, (k, plan) in enumerate(zip(kernels, plans, strict=True)):
+            if plan is not None and grid_schedule:
+                (lanes if plan.item_cycles is not None else coop).append(i)
+            elif k.degrees is None and k.num_items:
+                uniform.append(i)
+        out: dict[int, tuple[str, float, np.ndarray, float]] = {}
+        if lanes:
+            if cfg.workgroup_size % width:
+                raise ValueError(
+                    f"workgroup_size {cfg.workgroup_size} must be a multiple of "
+                    f"wavefront_size {width}"
+                )
+            items = [plans[i].item_cycles for i in lanes]
+            sizes = np.array([c.size for c in items], dtype=np.int64)
+            flat = np.concatenate(items)
+            peaks, n_wf = segmented_wavefront_costs(flat, sizes, width)
+            wg, n_wg = _workgroup_costs(peaks, n_wf, wf_per_group, dev.simd_per_cu)
+            for i, c, g in zip(lanes, items, _split(wg, n_wg), strict=True):
+                eff = simd_efficiency(c, width)
+                out[i] = (kernels[i].name, eff, g, plans[i].traffic_elements)
+        if coop:
+            tasks = [plans[i].tasks for i in coop]
+            sizes = np.array([t.size for t in tasks], dtype=np.int64)
+            wg, n_wg = _workgroup_costs(
+                np.concatenate(tasks), sizes, dev.simd_per_cu, dev.simd_per_cu
             )
-            res = dispatch(spec, dev, self.memory, tracer=self.context.tracer)
-            return IterationTiming(
-                cycles=res.total_cycles,
-                simd_efficiency=res.divergence.simd_efficiency,
-                kernels=(name,),
-                cu_busy=res.cu_busy,
-                bandwidth_bound=res.is_bandwidth_bound,
+            for i, g in zip(coop, _split(wg, n_wg), strict=True):
+                plan = plans[i]
+                name = kernels[i].name + plan.kernel_suffix
+                out[i] = (name, plan.simd_efficiency, g, plan.traffic_elements)
+        if uniform:
+            n_wf = np.array(
+                [num_wavefronts(kernels[i].num_items, width) for i in uniform],
+                dtype=np.int64,
             )
-        # wavefront mapping dispatches cooperative tasks directly; the
-        # hybrid mapping fuses packed low-degree wavefronts (divergence
-        # from the plan) with cooperative high-degree tasks.
-        kname = name + plan.kernel_suffix
-        res = dispatch_tasks(
-            kname,
-            plan.tasks,
-            dev,
+            per_item = np.array([kernels[i].cycles_per_item for i in uniform])
+            wg, n_wg = _workgroup_costs(
+                np.repeat(per_item, n_wf),
+                n_wf,
+                wf_per_group or dev.simd_per_cu,
+                dev.simd_per_cu,
+            )
+            for i, n, g in zip(uniform, n_wf.tolist(), _split(wg, n_wg), strict=True):
+                k = kernels[i]
+                # only the trailing partial wavefront idles lanes
+                out[i] = (k.name, k.num_items / (n * width), g, k.traffic_elements)
+        return out
+
+    def _grid_timing(
+        self, name: str, eff: float, wg_cycles: np.ndarray, traffic: float
+    ) -> IterationTiming:
+        """One grid launch's timing from its workgroup costs."""
+        res = dispatch_workgroups(
+            name,
+            wg_cycles,
+            self.device,
             self.memory,
-            traffic_elements=plan.traffic_elements,
-            divergence=plan.divergence,
+            traffic_elements=traffic,
             tracer=self.context.tracer,
         )
         return IterationTiming(
             cycles=res.total_cycles,
-            simd_efficiency=plan.simd_efficiency,
-            kernels=(kname,),
+            simd_efficiency=eff,
+            kernels=(name,),
             cu_busy=res.cu_busy,
             bandwidth_bound=res.is_bandwidth_bound,
         )

@@ -20,8 +20,8 @@ import numpy as np
 from ..engine.context import RunContext, resolve_context
 from ..graphs.csr import CSRGraph
 from ._nbr import LiveEdges
-from .base import UNCOLORED, ColoringResult, IterationRecord
-from .kernels import GPUExecutor
+from .base import UNCOLORED, ColoringResult
+from .kernels import GPUExecutor, SweepLog
 from .priorities import make_priorities
 
 __all__ = ["maxmin_coloring", "compact_colors"]
@@ -57,7 +57,9 @@ def maxmin_coloring(
         Input graph.
     executor:
         Optional simulated-GPU execution engine; when given, every sweep
-        is timed and the result carries the total device cycles.
+        is logged and timed once the loop ends (see
+        :class:`~repro.coloring.kernels.SweepLog`), and the result
+        carries the total device cycles.
     seed:
         Seed for the priority tie-break permutation (priorities are
         unique, so progress is guaranteed: the globally extreme
@@ -85,8 +87,7 @@ def maxmin_coloring(
     colors = np.full(n, UNCOLORED, dtype=np.int64)
     priorities = make_priorities(graph, priority, seed=seed)
     degrees = graph.degrees
-    iterations: list[IterationRecord] = []
-    total_cycles = 0.0
+    log = SweepLog(executor)
     cap = max_iterations if max_iterations is not None else n + 1
 
     uncolored = np.ones(n, dtype=bool)
@@ -109,27 +110,11 @@ def maxmin_coloring(
         uncolored &= ~(is_max | is_min)
         live.retain(uncolored)
 
-        cycles = 0.0
-        eff = None
-        if executor is not None:
-            timing = executor.time_iteration(
-                degrees[active_ids], name=f"maxmin_it{k}"
-            )
-            cycles = timing.cycles
-            eff = timing.simd_efficiency
-            total_cycles += cycles
-        iterations.append(
-            IterationRecord(
-                index=k,
-                active_vertices=int(active_ids.size),
-                newly_colored=newly,
-                cycles=cycles,
-                simd_efficiency=eff,
-                kernels=(f"maxmin_it{k}",),
-            )
-        )
+        log.sweep(k, active_ids.size, newly)
+        log.vertices(f"maxmin_it{k}", degrees, active_ids)
         k += 1
 
+    iterations, total_cycles = log.finish()
     return ColoringResult(
         algorithm="maxmin",
         colors=compact_colors(colors) if compact else colors,

@@ -20,7 +20,7 @@ import numpy as np
 from ..engine.context import RunContext, resolve_context
 from ..graphs.csr import CSRGraph
 from .base import UNCOLORED, ColoringResult, IterationRecord
-from .kernels import GPUExecutor
+from .kernels import GPUExecutor, SweepLog
 
 __all__ = ["speculative_coloring", "speculative_rounds"]
 
@@ -49,8 +49,7 @@ def speculative_rounds(
     backend = ctx.backend
     degrees = graph.degrees
     edge_u, edge_v = graph.edge_array()
-    iterations: list[IterationRecord] = []
-    total_cycles = 0.0
+    log = SweepLog(executor)
     cap = max_iterations if max_iterations is not None else graph.num_vertices + 1
     k = 0
     while active.size:
@@ -67,29 +66,13 @@ def speculative_rounds(
         losers = np.unique(np.where(priorities[cu] < priorities[cv], cu, cv))
         colors[losers] = UNCOLORED
 
-        cycles = 0.0
-        eff = None
         idx = start_index + k
-        names = (f"{name_prefix}_assign_it{idx}", f"{name_prefix}_detect_it{idx}")
-        if executor is not None:
-            t1 = executor.time_iteration(degrees[active], name=names[0])
-            t2 = executor.time_iteration(degrees[active], name=names[1])
-            cycles = t1.cycles + t2.cycles
-            eff = t1.simd_efficiency
-            total_cycles += cycles
-        iterations.append(
-            IterationRecord(
-                index=idx,
-                active_vertices=int(active.size),
-                newly_colored=int(active.size - losers.size),
-                cycles=cycles,
-                simd_efficiency=eff,
-                kernels=names,
-            )
-        )
+        log.sweep(idx, active.size, active.size - losers.size)
+        log.vertices(f"{name_prefix}_assign_it{idx}", degrees, active)
+        log.vertices(f"{name_prefix}_detect_it{idx}", degrees, active)
         active = losers
         k += 1
-    return iterations, total_cycles
+    return log.finish()
 
 
 def speculative_coloring(

@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from .base import UNCOLORED, ColoringResult, IterationRecord
-from .kernels import GPUExecutor
+from .base import UNCOLORED, ColoringResult
+from .kernels import GPUExecutor, SweepLog
 
 __all__ = ["windowed_speculative_coloring", "window_first_fit"]
 
@@ -82,8 +82,7 @@ def windowed_speculative_coloring(
     priorities = rng.permutation(n)
     degrees = graph.degrees
     edge_u, edge_v = graph.edge_array()
-    iterations: list[IterationRecord] = []
-    total_cycles = 0.0
+    log = SweepLog(executor)
     cap = max_iterations if max_iterations is not None else 2 * n + 2 * graph.max_degree + 4
 
     active = np.arange(n, dtype=np.int64)
@@ -108,27 +107,12 @@ def windowed_speculative_coloring(
         # next round's active: conflict losers + this round's deferrals
         active = np.union1d(losers, active[~placeable])
 
-        cycles = 0.0
-        eff = None
-        names = (f"win_assign_it{k}", f"win_detect_it{k}")
-        if executor is not None:
-            t1 = executor.time_iteration(degrees[placed], name=names[0])
-            t2 = executor.time_iteration(degrees[placed], name=names[1])
-            cycles = t1.cycles + t2.cycles
-            eff = t1.simd_efficiency
-            total_cycles += cycles
-        iterations.append(
-            IterationRecord(
-                index=k,
-                active_vertices=num_active_before,
-                newly_colored=int(placed.size - losers.size),
-                cycles=cycles,
-                simd_efficiency=eff,
-                kernels=names,
-            )
-        )
+        log.sweep(k, num_active_before, placed.size - losers.size)
+        log.vertices(f"win_assign_it{k}", degrees, placed)
+        log.vertices(f"win_detect_it{k}", degrees, placed)
         k += 1
 
+    iterations, total_cycles = log.finish()
     return ColoringResult(
         algorithm=f"windowed-speculative-w{window}",
         colors=colors,

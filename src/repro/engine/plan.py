@@ -20,19 +20,14 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..gpusim.wavefront import (
-    DivergenceStats,
-    divergence_stats,
-    simd_efficiency,
-    wavefront_costs,
-)
-from ..loadbalance.partition import chunk_costs, chunk_ranges, partition_by_threshold
+from ..gpusim.wavefront import segmented_wavefront_costs, simd_efficiency
+from ..loadbalance.partition import chunk_costs, chunk_ranges
 
 if TYPE_CHECKING:
     from ..coloring.kernels import CostModel, ExecutionConfig
@@ -41,10 +36,42 @@ if TYPE_CHECKING:
 __all__ = [
     "ExecutionPlan",
     "PlanCache",
+    "as_degrees",
     "build_plan",
+    "build_plans",
     "coop_efficiency",
     "degrees_fingerprint",
 ]
+
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def as_degrees(values: np.ndarray) -> np.ndarray:
+    """``values`` as a flat array of validated vertex degrees.
+
+    Degrees must be finite, integer-valued and non-negative; anything
+    else raises :class:`ValueError` (a float such as ``1.5`` used to be
+    truncated silently). The result is a fresh int32 array, or int64
+    when a degree does not fit int32.
+    """
+    arr = np.asarray(values).ravel()
+    kind = arr.dtype.kind
+    if kind == "f":
+        if not np.all(arr % 1 == 0):
+            raise ValueError("degrees must be finite integers")
+    elif kind not in "biu":
+        raise ValueError(f"degrees must be integers, not {arr.dtype}")
+    if arr.size == 0:
+        return np.empty(0, dtype=np.int32)
+    if arr.min() < 0:
+        raise ValueError("degrees must be non-negative")
+    top = arr.max()
+    if top > _INT32_MAX:
+        if top > np.iinfo(np.int64).max:
+            raise ValueError("degrees must fit int64")
+        return arr.astype(np.int64)
+    return arr.astype(np.int32)
 
 
 def degrees_fingerprint(degrees: np.ndarray) -> tuple[int, bytes]:
@@ -68,8 +95,7 @@ class ExecutionPlan:
     plan was built for:
 
     * grid + thread mapping → ``item_cycles`` (per-lane costs);
-    * grid + wavefront/hybrid mapping → ``tasks`` (per-wavefront costs),
-      plus ``divergence`` for the hybrid's low-degree half;
+    * grid + wavefront/hybrid mapping → ``tasks`` (per-wavefront costs);
     * persistent schedules → ``chunk_cycles``.
 
     ``degrees`` is the thread-id-order degree array actually timed
@@ -83,7 +109,6 @@ class ExecutionPlan:
     simd_efficiency: float = 1.0
     item_cycles: np.ndarray | None = None
     tasks: np.ndarray | None = None
-    divergence: DivergenceStats | None = None
     chunk_cycles: np.ndarray | None = None
     kernel_suffix: str = ""
 
@@ -98,78 +123,123 @@ def build_plan(
 
     ``config`` is an :class:`~repro.coloring.kernels.ExecutionConfig`,
     ``costs`` a :class:`~repro.coloring.kernels.CostModel`, ``device``
-    a :class:`~repro.gpusim.device.DeviceConfig`.
+    a :class:`~repro.gpusim.device.DeviceConfig`. The one-array case of
+    :func:`build_plans`.
     """
-    deg = np.asarray(degrees, dtype=np.int64).ravel()
+    return build_plans([as_degrees(degrees)], config, costs, device)[0]
+
+
+def build_plans(
+    degree_arrays: Sequence[np.ndarray],
+    config: "ExecutionConfig",
+    costs: "CostModel",
+    device: "DeviceConfig",
+) -> list[ExecutionPlan]:
+    """Derive the work distributions of several degree arrays at once.
+
+    ``degree_arrays`` hold validated degrees (see :func:`as_degrees`).
+    The element-wise cost laws and the per-wavefront maxima run once
+    over the concatenation, with groups that never straddle two arrays.
+    Every float sum whose order matters (the pairwise ``sum`` of a SIMD
+    efficiency, the sequential prefix sum of the chunk costs) runs on
+    each array's own slice, so each plan is bit-identical to deriving
+    its array alone.
+    """
+    degs = list(degree_arrays)
     if config.sort_by_degree:
         # Descending: packs similar degrees into the same wavefront
         # (less divergence) *and* dispatches the heavy work first
         # (LPT-style, shrinking the idle tail).
-        deg = np.sort(deg)[::-1]
-    traffic = costs.traffic_elements(deg)
-    if config.schedule == "grid":
-        return _grid_plan(deg, config, costs, device, traffic)
-    chunks, eff = _persistent_chunks(deg, config, costs, device)
-    return ExecutionPlan(
-        degrees=deg,
-        traffic_elements=traffic,
-        simd_efficiency=eff,
-        chunk_cycles=chunks,
-    )
+        degs = [np.sort(d)[::-1] for d in degs]
+    if not degs:
+        return []
+    sizes = np.array([d.size for d in degs], dtype=np.int64)
+    flat = np.concatenate(degs)
+    derive = _grid_fields if config.schedule == "grid" else _persistent_fields
+    return [
+        ExecutionPlan(degrees=d, traffic_elements=costs.traffic_elements(d), **f)
+        for d, f in zip(degs, derive(flat, sizes, config, costs, device), strict=True)
+    ]
 
 
-def _grid_plan(
-    deg: np.ndarray,
+def _split(values: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    """``values`` cut back into consecutive pieces of ``sizes``."""
+    return np.split(values, np.cumsum(sizes)[:-1])
+
+
+def _chunk_sums(item_costs: np.ndarray, per_chunk: int) -> np.ndarray:
+    """Costs of consecutive ``per_chunk``-item chunks (a sequential prefix sum)."""
+    return chunk_costs(item_costs, chunk_ranges(item_costs.size, per_chunk))
+
+
+def _split_by_threshold(
+    flat: np.ndarray, sizes: np.ndarray, threshold: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The hybrid split of every segment: ``(low, low sizes, high, high sizes)``.
+
+    Degrees below ``threshold`` run thread-per-vertex, the rest
+    cooperatively; each side keeps its segment order.
+    """
+    low = flat < threshold
+    seg = np.repeat(np.arange(sizes.size), sizes)
+    n_low = np.bincount(seg[low], minlength=sizes.size)
+    return flat[low], n_low, flat[~low], sizes - n_low
+
+
+def _grid_fields(
+    flat: np.ndarray,
+    sizes: np.ndarray,
     config: "ExecutionConfig",
     costs: "CostModel",
     device: "DeviceConfig",
-    traffic: float,
-) -> ExecutionPlan:
+) -> list[dict]:
+    lanes = device.wavefront_size
     if config.mapping == "thread":
-        return ExecutionPlan(
-            degrees=deg,
-            traffic_elements=traffic,
-            item_cycles=costs.thread_vertex_cycles(deg),
-        )
+        return [
+            {"item_cycles": c}
+            for c in _split(costs.thread_vertex_cycles(flat), sizes)
+        ]
     if config.mapping == "wavefront":
-        return ExecutionPlan(
-            degrees=deg,
-            traffic_elements=traffic,
-            simd_efficiency=coop_efficiency(deg, device.wavefront_size),
-            tasks=costs.coop_vertex_cycles(deg),
-        )
+        tasks = _split(costs.coop_vertex_cycles(flat), sizes)
+        return [
+            {"tasks": t, "simd_efficiency": coop_efficiency(d, lanes)}
+            for t, d in zip(tasks, _split(flat, sizes), strict=True)
+        ]
     # hybrid: one fused launch — low-degree lanes packed into wavefront
     # tasks, high-degree vertices as cooperative tasks.
-    low, high = partition_by_threshold(deg, config.degree_threshold)
-    task_parts: list[np.ndarray] = []
-    if low.size:
-        lane = costs.thread_vertex_cycles(deg[low])
-        task_parts.append(wavefront_costs(lane, device.wavefront_size))
-    if high.size:
-        task_parts.append(costs.coop_vertex_cycles(deg[high]))
-    tasks = np.concatenate(task_parts) if task_parts else np.empty(0)
-    div = (
-        divergence_stats(costs.thread_vertex_cycles(deg[low]), device.wavefront_size)
-        if low.size
-        else None
+    low, n_low, high, n_high = _split_by_threshold(
+        flat, sizes, config.degree_threshold
     )
-    eff = div.simd_efficiency if div else coop_efficiency(deg, device.wavefront_size)
-    return ExecutionPlan(
-        degrees=deg,
-        traffic_elements=traffic,
-        simd_efficiency=eff,
-        tasks=tasks,
-        divergence=div,
-        kernel_suffix="+coop",
-    )
+    lane = costs.thread_vertex_cycles(low)
+    peaks, n_wf = segmented_wavefront_costs(lane, n_low, lanes)
+    coop = costs.coop_vertex_cycles(high)
+    out = []
+    for d, ln, pk, hi in zip(
+        _split(flat, sizes),
+        _split(lane, n_low),
+        _split(peaks, n_wf),
+        _split(coop, n_high),
+        strict=True,
+    ):
+        parts = [p for p in (pk, hi) if p.size]
+        eff = simd_efficiency(ln, lanes) if ln.size else coop_efficiency(d, lanes)
+        out.append(
+            {
+                "tasks": np.concatenate(parts) if parts else np.empty(0),
+                "simd_efficiency": eff,
+                "kernel_suffix": "+coop",
+            }
+        )
+    return out
 
 
-def _persistent_chunks(
-    deg: np.ndarray,
+def _persistent_fields(
+    flat: np.ndarray,
+    sizes: np.ndarray,
     config: "ExecutionConfig",
     costs: "CostModel",
     device: "DeviceConfig",
-) -> tuple[np.ndarray, float]:
+) -> list[dict]:
     """Per-chunk execution cycles under the configured mapping.
 
     A persistent workgroup executes a chunk in lockstep *rounds* of
@@ -180,35 +250,51 @@ def _persistent_chunks(
     workgroup striding the neighbor list).
     """
     wg = config.workgroup_size
-    if config.mapping == "thread":
-        lane = costs.thread_vertex_cycles(deg)
-        eff = simd_efficiency(lane, device.wavefront_size)
-        rounds = wavefront_costs(lane, wg)
-        rounds_per_chunk = config.chunk_size // wg
-        ranges = chunk_ranges(rounds.size, rounds_per_chunk)
-        return chunk_costs(rounds, ranges), eff
     if config.mapping == "wavefront":
         # one vertex per chunk round, whole workgroup cooperates
-        tasks = costs.coop_vertex_cycles(deg, lanes=wg)
-        eff = coop_efficiency(deg, wg)
         per_chunk = max(1, config.chunk_size // wg)
-        ranges = chunk_ranges(tasks.size, per_chunk)
-        return chunk_costs(tasks, ranges), eff
-    # hybrid
-    low, high = partition_by_threshold(deg, config.degree_threshold)
-    parts: list[np.ndarray] = []
-    eff_lane = None
-    if low.size:
-        lane = costs.thread_vertex_cycles(deg[low])
-        eff_lane = simd_efficiency(lane, device.wavefront_size)
-        rounds = wavefront_costs(lane, wg)
-        ranges = chunk_ranges(rounds.size, config.chunk_size // wg)
-        parts.append(chunk_costs(rounds, ranges))
-    if high.size:
-        parts.append(costs.coop_vertex_cycles(deg[high], lanes=wg))
-    chunks = np.concatenate(parts) if parts else np.empty(0)
-    eff = eff_lane if eff_lane is not None else coop_efficiency(deg, wg)
-    return chunks, eff
+        tasks = _split(costs.coop_vertex_cycles(flat, lanes=wg), sizes)
+        return [
+            {
+                "chunk_cycles": _chunk_sums(t, per_chunk),
+                "simd_efficiency": coop_efficiency(d, wg),
+            }
+            for t, d in zip(tasks, _split(flat, sizes), strict=True)
+        ]
+    if config.mapping == "thread":
+        low, n_low = flat, sizes
+        high, n_high = flat[:0], np.zeros_like(sizes)
+    else:  # hybrid
+        low, n_low, high, n_high = _split_by_threshold(
+            flat, sizes, config.degree_threshold
+        )
+    lane = costs.thread_vertex_cycles(low)
+    rounds, n_rounds = segmented_wavefront_costs(lane, n_low, wg)
+    coop = costs.coop_vertex_cycles(high, lanes=wg)
+    per_chunk = config.chunk_size // wg
+    out = []
+    for d, ln, rd, hi in zip(
+        _split(flat, sizes),
+        _split(lane, n_low),
+        _split(rounds, n_rounds),
+        _split(coop, n_high),
+        strict=True,
+    ):
+        parts = [_chunk_sums(rd, per_chunk)] if ln.size else []
+        if hi.size:
+            parts.append(hi)
+        eff = (
+            simd_efficiency(ln, device.wavefront_size)
+            if ln.size
+            else coop_efficiency(d, wg)
+        )
+        out.append(
+            {
+                "chunk_cycles": np.concatenate(parts) if parts else np.empty(0),
+                "simd_efficiency": eff,
+            }
+        )
+    return out
 
 
 class PlanCache:

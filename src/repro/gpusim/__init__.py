@@ -31,6 +31,7 @@ from .scheduler import (
     dispatch,
     dispatch_sequence,
     dispatch_tasks,
+    dispatch_workgroups,
     greedy_schedule,
     workgroup_costs,
 )
@@ -39,6 +40,7 @@ from .wavefront import (
     DivergenceStats,
     divergence_stats,
     num_wavefronts,
+    segmented_wavefront_costs,
     simd_efficiency,
     wavefront_costs,
     wavefront_sums,
@@ -71,6 +73,7 @@ __all__ = [
     "dispatch",
     "dispatch_sequence",
     "dispatch_tasks",
+    "dispatch_workgroups",
     "greedy_schedule",
     "workgroup_costs",
     "Timeline",
@@ -79,5 +82,6 @@ __all__ = [
     "num_wavefronts",
     "simd_efficiency",
     "wavefront_costs",
+    "segmented_wavefront_costs",
     "wavefront_sums",
 ]

@@ -29,7 +29,7 @@ from .device import DeviceConfig
 from .kernel import KernelResult, KernelSpec
 from .memory import MemoryModel
 from .trace import Timeline
-from .wavefront import divergence_stats, wavefront_costs
+from .wavefront import DivergenceStats, divergence_stats, wavefront_costs
 
 if TYPE_CHECKING:
     from ..obs.tracer import Tracer
@@ -39,6 +39,7 @@ __all__ = [
     "workgroup_costs",
     "dispatch",
     "dispatch_tasks",
+    "dispatch_workgroups",
     "dispatch_sequence",
 ]
 
@@ -352,15 +353,15 @@ def dispatch(
     wf = wavefront_costs(spec.item_cycles, device.wavefront_size)
     wf_per_group = spec.workgroup_size // device.wavefront_size
     wg = workgroup_costs(wf, wf_per_group, device.simd_per_cu)
-    return _finish(
+    return dispatch_workgroups(
         spec.name,
         wg,
         device,
         memory,
-        spec.traffic_elements,
-        divergence_stats(spec.item_cycles, device.wavefront_size),
-        timeline,
-        tracer,
+        traffic_elements=spec.traffic_elements,
+        divergence=divergence_stats(spec.item_cycles, device.wavefront_size),
+        timeline=timeline,
+        tracer=tracer,
     )
 
 
@@ -372,7 +373,6 @@ def dispatch_tasks(
     *,
     tasks_per_group: int | None = None,
     traffic_elements: float = 0.0,
-    divergence: "divergence_stats | None" = None,
     timeline: Timeline | None = None,
     tracer: "Tracer | None" = None,
 ) -> KernelResult:
@@ -382,27 +382,40 @@ def dispatch_tasks(
     high-degree vertex processed cooperatively). Tasks group into
     workgroups of ``tasks_per_group`` (default: one per SIMD pipe) and
     dispatch exactly like :func:`dispatch`. Lane-level divergence stats
-    are not derivable from task costs; pass ``divergence`` if the caller
-    has them.
+    are not derivable from task costs, so the result has none.
     """
     tasks = np.asarray(task_cycles, dtype=np.float64).ravel()
     group = tasks_per_group or device.simd_per_cu
     wg = workgroup_costs(tasks, group, device.simd_per_cu)
-    return _finish(
-        name, wg, device, memory, traffic_elements, divergence, timeline, tracer
+    return dispatch_workgroups(
+        name,
+        wg,
+        device,
+        memory,
+        traffic_elements=traffic_elements,
+        timeline=timeline,
+        tracer=tracer,
     )
 
 
-def _finish(
+def dispatch_workgroups(
     name: str,
     wg_cycles: np.ndarray,
     device: DeviceConfig,
-    memory: MemoryModel | None,
-    traffic_elements: float,
-    divergence,
-    timeline: Timeline | None,
+    memory: MemoryModel | None = None,
+    *,
+    traffic_elements: float = 0.0,
+    divergence: DivergenceStats | None = None,
+    timeline: Timeline | None = None,
     tracer: "Tracer | None" = None,
 ) -> KernelResult:
+    """Dispatch one launch's workgroups, given their costs, onto the CUs.
+
+    The last step of :func:`dispatch` and :func:`dispatch_tasks`: greedy
+    workgroup placement gives the compute makespan, which is compared
+    against the DRAM roofline of ``traffic_elements``, plus the fixed
+    launch overhead.
+    """
     memory = memory or MemoryModel(device)
     _, busy = greedy_schedule(wg_cycles, device.num_cus, timeline=timeline, tag=name)
     compute = float(busy.max()) if busy.size else 0.0

@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "wavefront_costs",
+    "segmented_wavefront_costs",
     "wavefront_sums",
     "num_wavefronts",
     "simd_efficiency",
@@ -52,6 +53,30 @@ def wavefront_costs(item_cycles: np.ndarray, wavefront_size: int) -> np.ndarray:
     if np.any(cycles < 0):
         raise ValueError("item costs must be non-negative")
     return np.maximum.reduceat(cycles, _boundaries(cycles.size, wavefront_size))
+
+
+def segmented_wavefront_costs(
+    item_cycles: np.ndarray, sizes: np.ndarray, wavefront_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`wavefront_costs` of every segment of a concatenation at once.
+
+    ``item_cycles`` is several per-item cost arrays laid end to end,
+    ``sizes`` their lengths. Wavefronts never straddle two segments, so
+    the result is the concatenation of each segment's own
+    :func:`wavefront_costs` (a ``max`` is exact in any grouping).
+    Returns ``(costs, wavefronts per segment)``.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    groups = -(-sizes // wavefront_size)
+    cycles = np.asarray(item_cycles, dtype=np.float64).ravel()
+    if cycles.size == 0:
+        return np.empty(0, dtype=np.float64), groups
+    if cycles.min() < 0:
+        raise ValueError("item costs must be non-negative")
+    first = np.cumsum(groups) - groups
+    rank = np.arange(int(groups.sum()), dtype=np.int64) - np.repeat(first, groups)
+    starts = np.repeat(np.cumsum(sizes) - sizes, groups) + rank * wavefront_size
+    return np.maximum.reduceat(cycles, starts), groups
 
 
 def wavefront_sums(item_cycles: np.ndarray, wavefront_size: int) -> np.ndarray:

@@ -46,39 +46,45 @@ def bfs_order(graph: CSRGraph, *, source: int | None = None) -> np.ndarray:
     """Breadth-first relabeling; components are visited by smallest id.
 
     ``source`` seeds the first component (default: vertex 0).
+
+    The search runs one level at a time. A level's queue order is its
+    frontier's neighbor lists laid end to end, in frontier order, with
+    already-visited vertices dropped and each vertex kept at its first
+    occurrence, which is the order a vertex-at-a-time FIFO search
+    enqueues them in.
     """
     n = graph.num_vertices
+    indptr = np.asarray(graph.indptr, dtype=np.int64)
+    indices = graph.indices
     visited = np.zeros(n, dtype=bool)
     sequence = np.empty(n, dtype=np.int64)
     pos = 0
-    queue: deque[int] = deque()
-    seeds = [source] if source is not None else []
-    seed_iter = iter(range(n))
-
-    def next_seed() -> int | None:
-        for s in seeds:
-            if not visited[s]:
-                return s
-        for s in seed_iter:
-            if not visited[s]:
-                return s
-        return None
-
+    scan = 0  # every vertex below ``scan`` is visited
+    seed = source
     while pos < n:
-        s = next_seed()
-        if s is None:
-            break
-        visited[s] = True
-        queue.append(s)
-        while queue:
-            v = queue.popleft()
-            sequence[pos] = v
-            pos += 1
-            for w in graph.neighbors(v):
-                w = int(w)
-                if not visited[w]:
-                    visited[w] = True
-                    queue.append(w)
+        if seed is None or visited[seed]:
+            while visited[scan]:
+                scan += 1
+            seed = scan
+        visited[seed] = True
+        sequence[pos] = seed
+        pos += 1
+        frontier = np.array([seed], dtype=np.int64)
+        while frontier.size:
+            starts = indptr[frontier]
+            lengths = indptr[frontier + 1] - starts
+            total = int(lengths.sum())
+            if total == 0:
+                break
+            offsets = np.cumsum(lengths) - lengths
+            rows = np.arange(total, dtype=np.int64) + np.repeat(starts - offsets, lengths)
+            nbrs = indices[rows]
+            nbrs = nbrs[~visited[nbrs]]
+            _, first = np.unique(nbrs, return_index=True)
+            frontier = nbrs[np.sort(first)].astype(np.int64)
+            visited[frontier] = True
+            sequence[pos : pos + frontier.size] = frontier
+            pos += frontier.size
     return _positions_to_perm(sequence)
 
 

@@ -263,6 +263,52 @@ def _tie_order(
     return tied[np.lexsort(chains.T[::-1])]
 
 
+def _one_chunk_each(
+    costs: np.ndarray,
+    who: np.ndarray,
+    w: int,
+    pop: float,
+    timeline: Timeline | None,
+) -> StealingResult:
+    """The run when workers ``0..n-1`` own one chunk each and the rest none.
+
+    Root events fire at 0.0 in worker order, so workers ``0..n-1`` pop
+    their one chunk before any empty worker looks for work. After that
+    nothing is left anywhere and every later event retires: no steal
+    attempt, no victim draw, no tracer event. The float operations are
+    the event loop's: ``busy = 0.0 + cost``, ``overhead = 0.0 + pop``,
+    end times ``(0.0 + pop) + cost``.
+    """
+    n = costs.size
+    busy = np.zeros(w)
+    overhead = np.zeros(w)
+    executed = np.zeros(w, dtype=np.int64)
+    busy[who] = 0.0 + costs
+    overhead[:n] = 0.0 + pop
+    executed[:n] = 1
+    ends = (0.0 + pop) + costs
+    makespan = ends.max() if n else 0.0
+    if timeline is not None and n:
+        chunk_of = np.empty(n, dtype=np.int64)
+        chunk_of[who] = np.arange(n)
+        timeline.record_batch(
+            np.arange(n),
+            np.full(n, 0.0 + pop),
+            ends[chunk_of],
+            [f"chunk{c}" for c in chunk_of.tolist()],
+        )
+    return StealingResult(
+        makespan_cycles=np.float64(makespan) if makespan > 0 else 0.0,
+        busy_cycles=busy,
+        overhead_cycles=overhead,
+        chunks_executed=executed,
+        steal_attempts=0,
+        steals_succeeded=0,
+        chunks_migrated=0,
+        timeline=timeline,
+    )
+
+
 def simulate_work_stealing(
     chunk_cycles: np.ndarray,
     owner: np.ndarray,
@@ -276,8 +322,11 @@ def simulate_work_stealing(
     ``chunk_cycles[i]`` is the execution cost of chunk ``i`` (already
     wavefront-aggregated by the caller); ``owner[i]`` its initial worker.
 
-    Phase 1 (:func:`_fast_forward`) bulk-applies every pop that happens
-    before the first possible steal. Phase 2 runs the rest as one heap
+    When workers ``0..n-1`` own one chunk each (``owner`` a permutation
+    of ``range(n)``, ``n <= num_workers``), no steal can ever happen and
+    :func:`_one_chunk_each` returns the run directly. Otherwise phase 1
+    (:func:`_fast_forward`) bulk-applies every pop that happens before
+    the first possible steal. Phase 2 runs the rest as one heap
     loop over ``(time, seq, worker)`` events, one pending event per
     worker. Equal times fire in scheduling order (``seq``), so the
     schedule, the float sums and the victim RNG draws are those of a
@@ -301,8 +350,10 @@ def simulate_work_stealing(
     fraction, max_failed = config.steal_fraction, config.max_failed_attempts
     richest = config.steal_policy == "richest"
 
-    rng = np.random.default_rng(config.seed)
     timeline = Timeline(w) if record_timeline else None
+    if costs.size <= w and np.array_equal(np.sort(who), np.arange(costs.size)):
+        return _one_chunk_each(costs, who, w, pop, timeline)
+    rng = np.random.default_rng(config.seed)
     ff = _fast_forward(costs, who, w, pop, timeline)
 
     deques = ff.deques

@@ -9,6 +9,7 @@ from repro.coloring.kernels import (
     CostModel,
     ExecutionConfig,
     GPUExecutor,
+    SweepLog,
 )
 from repro.gpusim.device import RADEON_HD_7950, DeviceConfig
 from repro.gpusim.memory import MemoryModel
@@ -230,3 +231,45 @@ class TestBandwidthRoofline:
         rich = GPUExecutor(RADEON_HD_7950, ExecutionConfig(schedule="stealing"))
         deg = np.full(5000, 16)
         assert ex.time_iteration(deg).cycles > rich.time_iteration(deg).cycles
+
+
+class TestTimingInputValidation:
+    """Bad timing inputs fail at the entry point, in the log and in a direct call."""
+
+    @pytest.fixture
+    def ex(self):
+        return GPUExecutor(RADEON_HD_7950, ExecutionConfig())
+
+    def test_fractional_degrees_rejected(self, ex):
+        with pytest.raises(ValueError, match="integers"):
+            ex.time_iteration(np.array([1.5, 2.7]))
+
+    def test_fractional_degrees_rejected_by_the_log(self, ex):
+        log = SweepLog(ex)
+        with pytest.raises(ValueError, match="integers"):
+            log.vertices("k", np.array([1.5, 2.7]), np.array([0, 1]))
+
+    def test_integer_valued_float_degrees_accepted(self, ex):
+        as_float = ex.time_iteration(np.array([1.0, 2.0]))
+        as_int = GPUExecutor(RADEON_HD_7950, ExecutionConfig()).time_iteration([1, 2])
+        assert as_float.cycles == as_int.cycles
+
+    def test_nan_traffic_rejected(self, ex):
+        with pytest.raises(ValueError, match="traffic_elements"):
+            ex.time_uniform(100, 4.0, traffic_elements=float("nan"))
+        assert ex.counters.kernels_launched == 0
+
+    def test_negative_traffic_rejected(self, ex):
+        with pytest.raises(ValueError, match="traffic_elements"):
+            ex.time_uniform(100, 4.0, traffic_elements=-1.0)
+
+    def test_nan_cycles_per_item_rejected_at_entry(self, ex):
+        with pytest.raises(ValueError, match="cycles_per_item"):
+            ex.time_uniform(100, float("nan"))
+
+    def test_bad_uniform_kernel_rejected_by_the_log(self, ex):
+        log = SweepLog(ex)
+        with pytest.raises(ValueError, match="cycles_per_item"):
+            log.uniform("k", 10, float("inf"))
+        with pytest.raises(ValueError, match="traffic_elements"):
+            log.uniform("k", 10, 1.0, traffic_elements=float("nan"))

@@ -1,11 +1,16 @@
 """Unit tests for vertex reordering."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import generators as gen
 from repro.graphs.csr import CSRGraph
 from repro.graphs.reorder import (
+    _positions_to_perm,
     apply_order,
     bandwidth,
     bfs_order,
@@ -13,6 +18,7 @@ from repro.graphs.reorder import (
     random_order,
     rcm_order,
 )
+from repro.harness.suite import build, suite_names
 
 ORDERS = [bfs_order, rcm_order, degree_order, random_order]
 
@@ -51,6 +57,74 @@ class TestBfsOrder:
         g = gen.path(5)
         perm = bfs_order(g, source=4)
         assert perm[4] == 0  # the source becomes vertex 0
+
+
+def reference_bfs_order(graph: CSRGraph, *, source: int | None = None) -> np.ndarray:
+    """The vertex-at-a-time FIFO search :func:`bfs_order` must reproduce."""
+    n = graph.num_vertices
+    visited = np.zeros(n, dtype=bool)
+    sequence = np.empty(n, dtype=np.int64)
+    pos = 0
+    queue: deque[int] = deque()
+    seeds = [source] if source is not None else []
+    seed_iter = iter(range(n))
+
+    def next_seed() -> int | None:
+        for s in seeds:
+            if not visited[s]:
+                return s
+        for s in seed_iter:
+            if not visited[s]:
+                return s
+        return None
+
+    while pos < n:
+        s = next_seed()
+        if s is None:
+            break
+        visited[s] = True
+        queue.append(s)
+        while queue:
+            v = queue.popleft()
+            sequence[pos] = v
+            pos += 1
+            for w in graph.neighbors(v):
+                w = int(w)
+                if not visited[w]:
+                    visited[w] = True
+                    queue.append(w)
+    return _positions_to_perm(sequence)
+
+
+@st.composite
+def scattered_graphs(draw):
+    """Graphs with isolated vertices and many small components."""
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(0, 2 * n))
+    ends = st.integers(0, n - 1)
+    u = draw(st.lists(ends, min_size=m, max_size=m))
+    v = draw(st.lists(ends, min_size=m, max_size=m))
+    source = draw(st.none() | ends)
+    return CSRGraph.from_edges(u, v, num_vertices=n), source
+
+
+class TestBfsMatchesQueueOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(scattered_graphs())
+    def test_hypothesis_graphs(self, case):
+        g, source = case
+        assert np.array_equal(
+            bfs_order(g, source=source), reference_bfs_order(g, source=source)
+        )
+
+    @pytest.mark.parametrize("dataset", suite_names())
+    def test_suite_graphs(self, dataset):
+        g = build(dataset, "small")
+        assert np.array_equal(bfs_order(g), reference_bfs_order(g))
+        hub = int(np.argmax(g.degrees))
+        assert np.array_equal(
+            bfs_order(g, source=hub), reference_bfs_order(g, source=hub)
+        )
 
 
 class TestRcmOrder:
