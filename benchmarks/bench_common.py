@@ -31,7 +31,7 @@ from repro.analysis.experiment import ExperimentRecord, save_records
 from repro.coloring.base import ColoringResult
 from repro.engine.context import RunContext
 from repro.gpusim.device import RADEON_HD_7950
-from repro.harness.runner import make_executor, run_gpu_coloring
+from repro.harness.runner import run_gpu_coloring
 from repro.harness.suite import build
 from repro.store import Recorder, store_path_from_env
 
@@ -64,7 +64,11 @@ def batch_rows(jobs, *, parallel_jobs: int | None = None) -> list[dict[str, obje
 
     n = JOBS if parallel_jobs is None else parallel_jobs
     return run_batch(
-        jobs, device=DEVICE, scale=SCALE, parallel_jobs=n, recorder=RECORDER
+        jobs,
+        scale=SCALE,
+        context=RunContext(device=DEVICE),
+        parallel_jobs=n,
+        recorder=RECORDER,
     )
 
 
@@ -97,13 +101,10 @@ def timed_run(
     )
     if key not in _RUN_CACHE:
         graph = build(dataset, SCALE)
-        context = None
+        context = RunContext(device=DEVICE)
         if TRACE:
-            context = RunContext(device=DEVICE)
             context.enable_tracing()
-        executor = make_executor(
-            DEVICE, mapping=mapping, schedule=schedule, context=context, **config_kwargs
-        )
+        executor = context.executor(mapping=mapping, schedule=schedule, **config_kwargs)
         _RUN_CACHE[key] = run_gpu_coloring(
             graph,
             algorithm,

@@ -12,9 +12,9 @@ from the mechanisms the paper names, not from modelling artifacts.
 
 from repro.analysis import format_table
 from repro.coloring.maxmin import maxmin_coloring
+from repro.engine.context import RunContext
 from repro.gpusim.device import RADEON_HD_7950
 from repro.gpusim.memory import MemoryModel
-from repro.harness.runner import make_executor
 from repro.harness.suite import build
 
 from bench_common import SCALE, emit, record
@@ -23,14 +23,14 @@ from bench_common import SCALE, emit, record
 def _speedup(graph, memory=None, device=RADEON_HD_7950, iters=8):
     base = maxmin_coloring(
         graph,
-        make_executor(device, memory=memory),
+        RunContext(device=device, memory=memory).executor(),
         seed=0,
         max_iterations=iters,
         compact=False,
     )
     hyb = maxmin_coloring(
         graph,
-        make_executor(device, mapping="hybrid", memory=memory),
+        RunContext(device=device, memory=memory).executor(mapping="hybrid"),
         seed=0,
         max_iterations=iters,
         compact=False,

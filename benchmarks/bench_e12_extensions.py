@@ -19,8 +19,8 @@ import numpy as np
 from repro.analysis import format_table
 from repro.coloring.maxmin import maxmin_coloring
 from repro.coloring.recolor import recolor_greedy
+from repro.engine.context import RunContext
 from repro.graphs import reorder as ro
-from repro.harness.runner import make_executor
 from repro.harness.suite import build
 from repro.loadbalance.donation import DonationConfig, simulate_work_donation
 from repro.loadbalance.workstealing import (
@@ -35,7 +35,7 @@ from bench_common import DEVICE, SCALE, emit, record, timed_run
 def test_e12_donation_vs_stealing(benchmark):
     """Same chunk distribution through all three persistent runtimes."""
     graph = build("rmat", SCALE)
-    ex = make_executor(DEVICE)
+    ex = RunContext(device=DEVICE).executor()
     lane = ex.costs.thread_vertex_cycles(graph.degrees)
     from repro.gpusim.wavefront import wavefront_costs
     from repro.loadbalance.partition import chunk_costs, chunk_ranges
@@ -148,7 +148,7 @@ def test_e12_layout_effects(benchmark):
             "bfs": graph.permute(ro.bfs_order(graph)),
             "rcm": graph.permute(ro.rcm_order(graph)),
         }
-        ex = make_executor(DEVICE)
+        ex = RunContext(device=DEVICE).executor()
         for label, g in layouts.items():
             t = ex.time_iteration(g.degrees, name=label)
             rows.append(

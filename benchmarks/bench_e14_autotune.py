@@ -11,8 +11,8 @@ suite-wide tuned improvement matches the hand-picked best of E8.
 
 from repro.analysis import format_table
 from repro.coloring.maxmin import maxmin_coloring
+from repro.engine.context import RunContext
 from repro.harness.autotune import autotune
-from repro.harness.runner import make_executor
 from repro.harness.suite import SUITE, build
 from repro.metrics import geometric_mean
 
@@ -24,19 +24,9 @@ def test_e14_autotuned_vs_baseline(benchmark):
         rows = []
         for name, spec in SUITE.items():
             graph = build(name, SCALE)
-            outcome = autotune(graph, DEVICE, seed=0)
-            cfg = outcome.best
-            tuned = maxmin_coloring(
-                graph,
-                make_executor(
-                    DEVICE,
-                    mapping=cfg.mapping,
-                    schedule=cfg.schedule,
-                    degree_threshold=cfg.degree_threshold,
-                    chunk_size=cfg.chunk_size,
-                ),
-                seed=0,
-            )
+            ctx = RunContext(device=DEVICE)
+            cfg = autotune(graph, seed=0, context=ctx).best
+            tuned = maxmin_coloring(graph, ctx.executor(cfg), seed=0)
             base = timed_run(name)
             rows.append(
                 {

@@ -108,10 +108,10 @@ def test_e15_hybrid_win_is_model_robust(benchmark):
 
     def measure():
         # first-order
-        from repro.harness.runner import make_executor
+        from repro.engine.context import RunContext
 
-        fo_thread = make_executor(DEVICE).time_iteration(deg).cycles
-        fo_hybrid = make_executor(DEVICE, mapping="hybrid").time_iteration(deg).cycles
+        fo_thread = RunContext(device=DEVICE).executor().time_iteration(deg).cycles
+        fo_hybrid = RunContext(device=DEVICE).executor(mapping="hybrid").time_iteration(deg).cycles
         # detailed: thread mapping vs hybrid-approximated (hub degrees
         # replaced by their cooperative per-wavefront share)
         issue_t, acc_t = thread_kernel_decomposition(cm, deg)

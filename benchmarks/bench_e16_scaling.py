@@ -10,8 +10,8 @@ regime analysis behind "important factors".
 
 from repro.analysis import format_series
 from repro.coloring.maxmin import maxmin_coloring
+from repro.engine.context import RunContext
 from repro.graphs.generators import rmat
-from repro.harness.runner import make_executor
 
 from bench_common import DEVICE, emit, record
 
@@ -23,9 +23,9 @@ def test_e16_size_scaling(benchmark):
         out = []
         for s in SCALES_SWEPT:
             g = rmat(s, edge_factor=16, seed=1)
-            base_ex = make_executor(DEVICE)
+            base_ex = RunContext(device=DEVICE).executor()
             base = maxmin_coloring(g, base_ex, seed=0)
-            hyb = maxmin_coloring(g, make_executor(DEVICE, mapping="hybrid"), seed=0)
+            hyb = maxmin_coloring(g, RunContext(device=DEVICE).executor(mapping="hybrid"), seed=0)
             out.append(
                 {
                     "scale": s,

@@ -10,7 +10,7 @@ approach stops paying — "power-law graphs don't partition".
 
 from repro.analysis import format_table
 from repro.coloring.partitioned import partitioned_coloring
-from repro.harness.runner import make_executor
+from repro.engine.context import RunContext
 from repro.harness.suite import build
 
 from bench_common import DEVICE, SCALE, emit, record
@@ -25,7 +25,7 @@ def test_e17_partitioned_scaling(benchmark):
             graph = build(name, SCALE)
             for p in PARTITIONS:
                 r = partitioned_coloring(
-                    graph, make_executor(DEVICE), num_partitions=p, seed=0
+                    graph, RunContext(device=DEVICE).executor(), num_partitions=p, seed=0
                 )
                 r.validate(graph)
                 rows.append(

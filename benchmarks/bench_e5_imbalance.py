@@ -9,8 +9,8 @@ paper's central diagnosis.
 """
 
 from repro.analysis import format_table
+from repro.engine.context import RunContext
 from repro.gpusim.wavefront import divergence_stats
-from repro.harness.runner import make_executor
 from repro.harness.suite import SUITE, build
 from repro.metrics import idle_fraction, imbalance_factor
 
@@ -18,8 +18,8 @@ from bench_common import DEVICE, SCALE, emit, record
 
 
 def _table():
-    grid_ex = make_executor(DEVICE)
-    static_ex = make_executor(DEVICE, schedule="static")
+    grid_ex = RunContext(device=DEVICE).executor()
+    static_ex = RunContext(device=DEVICE).executor(schedule="static")
     rows = []
     for name, spec in SUITE.items():
         graph = build(name, SCALE)

@@ -61,7 +61,7 @@ def test_e6_work_stealing(benchmark):
 def test_e6_steal_policies(benchmark):
     """Victim policy and steal traffic on the worst-imbalance input."""
     from repro.coloring.maxmin import maxmin_coloring
-    from repro.harness.runner import make_executor
+    from repro.engine.context import RunContext
     from repro.harness.suite import build
     from repro.loadbalance.workstealing import StealingConfig
 
@@ -71,7 +71,7 @@ def test_e6_steal_policies(benchmark):
         cfg = StealingConfig(
             num_workers=28, steal_policy=policy, steal_cycles=400.0, seed=0
         )
-        ex = make_executor(schedule="stealing", stealing=cfg)
+        ex = RunContext().executor(schedule="stealing", stealing=cfg)
         return maxmin_coloring(graph, ex, seed=0, max_iterations=6, compact=False)
 
     random_r = benchmark.pedantic(lambda: run("random"), rounds=1, iterations=1)

@@ -14,8 +14,8 @@ DRAM-bound and don't scale with width at all.
 import numpy as np
 
 from repro.analysis import format_kv, format_series
+from repro.engine.context import RunContext
 from repro.gpusim.device import RADEON_HD_7950
-from repro.harness.runner import make_executor
 from repro.harness.suite import build
 
 from bench_common import SCALE, emit, record, timed_run
@@ -84,8 +84,8 @@ def test_e9_degree_sorting(benchmark):
     graph = build("rmat", SCALE)
 
     def probe():
-        plain = make_executor().time_iteration(graph.degrees)
-        srt = make_executor(sort_by_degree=True).time_iteration(graph.degrees)
+        plain = RunContext().executor().time_iteration(graph.degrees)
+        srt = RunContext().executor(sort_by_degree=True).time_iteration(graph.degrees)
         return plain, srt
 
     plain, srt = benchmark.pedantic(probe, rounds=1, iterations=1)
@@ -119,7 +119,7 @@ def test_e9_machine_width(benchmark):
             times = []
             for cus in CUS:
                 dev = RADEON_HD_7950.with_overrides(num_cus=cus)
-                ex = make_executor(dev)
+                ex = RunContext(device=dev).executor()
                 times.append(ex.time_iteration(graph.degrees).cycles)
             out[g] = times
         return out

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.check.flow import analyze_algorithm, predict_imbalance, spearman
-from repro.harness.runner import make_executor
+from repro.engine.context import RunContext
 from repro.harness.suite import SUITE, build
 from repro.metrics import imbalance_factor
 
@@ -31,7 +31,7 @@ DEGREE_DEPENDENT = ("maxmin", "jp", "speculative")
 
 
 def _collect():
-    static_ex = make_executor(DEVICE, schedule="static")
+    static_ex = RunContext(device=DEVICE).executor(schedule="static")
     rows = []
     t0 = time.perf_counter()
     for name, spec in SUITE.items():

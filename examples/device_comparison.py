@@ -12,9 +12,9 @@ Run:  python examples/device_comparison.py
 
 from repro.analysis import format_table
 from repro.coloring.maxmin import maxmin_coloring
+from repro.engine.context import RunContext
 from repro.gpusim.device import CPU_8CORE, RADEON_HD_7950, RADEON_R9_290X
 from repro.harness.autotune import autotune
-from repro.harness.runner import make_executor
 from repro.harness.suite import build
 
 DEVICES = {
@@ -25,20 +25,9 @@ DEVICES = {
 
 
 def tuned_time_ms(graph, device) -> tuple[float, str]:
-    outcome = autotune(graph, device, seed=0)
-    cfg = outcome.best
-    result = maxmin_coloring(
-        graph,
-        make_executor(
-            device,
-            mapping=cfg.mapping,
-            schedule=cfg.schedule,
-            degree_threshold=cfg.degree_threshold,
-            chunk_size=cfg.chunk_size,
-            workgroup_size=min(cfg.workgroup_size, device.max_workgroup_size),
-        ),
-        seed=0,
-    )
+    ctx = RunContext(device=device)
+    cfg = autotune(graph, seed=0, context=ctx).best
+    result = maxmin_coloring(graph, ctx.executor(cfg), seed=0)
     return result.time_ms, f"{cfg.mapping}/{cfg.schedule}"
 
 

@@ -25,8 +25,8 @@ from repro.coloring.jacobian import (
     recover_jacobian,
     seed_matrix,
 )
+from repro.engine.context import RunContext
 from repro.graphs.csr import CSRGraph
-from repro.harness.runner import make_executor
 
 
 def stencil_jacobian(n_side: int) -> sp.csr_matrix:
@@ -82,7 +82,7 @@ def main() -> None:
         # the GPU view: the same structure as a distance-1 coloring of
         # the column-intersection graph, on the simulated device
         graph = column_intersection_graph(jac)
-        gpu = speculative_coloring(graph, make_executor(), seed=0)
+        gpu = speculative_coloring(graph, RunContext().executor(), seed=0)
         gpu.validate(graph)
 
         cols = jac.shape[1]

@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 
 from repro import (
     RADEON_HD_7950,
-    make_executor,
+    RunContext,
     maxmin_coloring,
     percent_improvement,
     rmat,
@@ -29,18 +29,15 @@ def main() -> None:
 
     # 2. Baseline: thread-per-vertex kernel, ordinary grid dispatch, on
     #    the paper's AMD Radeon HD 7950 machine model.
-    baseline = maxmin_coloring(graph, make_executor(RADEON_HD_7950), seed=0)
+    ctx = RunContext(device=RADEON_HD_7950)
+    baseline = maxmin_coloring(graph, ctx.executor(), seed=0)
     baseline.validate(graph)  # the coloring is real — check it
 
     # 3. The paper's techniques, separately and together.
-    hybrid = maxmin_coloring(
-        graph, make_executor(mapping="hybrid"), seed=0
-    )
-    stealing = maxmin_coloring(
-        graph, make_executor(schedule="stealing"), seed=0
-    )
+    hybrid = maxmin_coloring(graph, ctx.executor(mapping="hybrid"), seed=0)
+    stealing = maxmin_coloring(graph, ctx.executor(schedule="stealing"), seed=0)
     both = maxmin_coloring(
-        graph, make_executor(mapping="hybrid", schedule="stealing"), seed=0
+        graph, ctx.executor(mapping="hybrid", schedule="stealing"), seed=0
     )
 
     rows = []

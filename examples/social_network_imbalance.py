@@ -14,7 +14,7 @@ Run:  python examples/social_network_imbalance.py
 
 import numpy as np
 
-from repro import barabasi_albert, make_executor, maxmin_coloring, summarize
+from repro import RunContext, barabasi_albert, maxmin_coloring, summarize
 from repro.analysis import format_kv, format_series, format_table
 from repro.metrics import idle_fraction, imbalance_factor
 
@@ -34,7 +34,8 @@ def main() -> None:
     print()
 
     # --- step 1: the baseline and its counters -----------------------
-    base = maxmin_coloring(graph, make_executor(), seed=0).validate(graph)
+    ctx = RunContext()  # the paper's HD 7950
+    base = maxmin_coloring(graph, ctx.executor(), seed=0).validate(graph)
     first = base.iterations[0]
     print(
         format_kv(
@@ -50,9 +51,9 @@ def main() -> None:
     print()
 
     # --- step 2: where the time goes under static mapping ------------
-    static_ex = make_executor(schedule="static")
+    static_ex = ctx.executor(schedule="static")
     t_static = static_ex.time_iteration(graph.degrees, name="probe")
-    steal_ex = make_executor(schedule="stealing")
+    steal_ex = ctx.executor(schedule="stealing")
     t_steal = steal_ex.time_iteration(graph.degrees, name="probe")
 
     print("per-CU busy profile of one full sweep (28 CUs):")
@@ -79,10 +80,10 @@ def main() -> None:
 
     # --- step 3: full-run comparison including the hybrid mapping ----
     variants = {
-        "baseline": make_executor(),
-        "stealing": make_executor(schedule="stealing"),
-        "hybrid": make_executor(mapping="hybrid"),
-        "hybrid+stealing": make_executor(mapping="hybrid", schedule="stealing"),
+        "baseline": ctx.executor(),
+        "stealing": ctx.executor(schedule="stealing"),
+        "hybrid": ctx.executor(mapping="hybrid"),
+        "hybrid+stealing": ctx.executor(mapping="hybrid", schedule="stealing"),
     }
     times = {k: maxmin_coloring(graph, ex, seed=0).time_ms for k, ex in variants.items()}
     print(

@@ -18,7 +18,7 @@ Run:  python examples/sparse_solver_scheduling.py
 
 import numpy as np
 
-from repro import grid_3d, make_executor
+from repro import RunContext, grid_3d
 from repro.analysis import format_table
 from repro.coloring import (
     dsatur,
@@ -51,7 +51,7 @@ def main() -> None:
     graph = grid_3d(24, 24, 24)
     print(f"matrix adjacency: {graph}\n")
 
-    executor = make_executor()
+    executor = RunContext().executor()
     candidates = {
         "maxmin (GPU)": maxmin_coloring(graph, executor, seed=0),
         "jones-plassmann (GPU)": jones_plassmann_coloring(graph, executor, seed=0),

@@ -21,8 +21,8 @@ from repro.analysis import format_table
 from repro.coloring.incremental import IncrementalColoring
 from repro.coloring.maxmin import maxmin_coloring
 from repro.coloring.recolor import recolor_greedy
+from repro.engine.context import RunContext
 from repro.graphs.generators import barabasi_albert
-from repro.harness.runner import make_executor
 
 
 def preferential_edge_stream(graph, count: int, seed: int):
@@ -40,7 +40,7 @@ def preferential_edge_stream(graph, count: int, seed: int):
 
 def main() -> None:
     graph = barabasi_albert(20_000, attach=6, seed=5)
-    executor = make_executor(mapping="hybrid", schedule="stealing")
+    executor = RunContext().executor(mapping="hybrid", schedule="stealing")
 
     # 1. bulk GPU coloring + quality post-pass
     bulk = maxmin_coloring(graph, executor, seed=0)

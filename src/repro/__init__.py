@@ -8,10 +8,10 @@ DESIGN.md).
 
 Quickstart::
 
-    from repro import rmat, maxmin_coloring, baseline_executor
+    from repro import RunContext, maxmin_coloring, rmat
 
     graph = rmat(12, seed=1)
-    result = maxmin_coloring(graph, baseline_executor())
+    result = maxmin_coloring(graph, RunContext().executor())
     result.validate(graph)
     print(result.num_colors, result.time_ms)
 
@@ -35,7 +35,6 @@ from .coloring import (
     count_conflicts,
     dsatur,
     greedy_first_fit,
-    hybrid_mapping_executor,
     hybrid_switch_coloring,
     is_valid_coloring,
     jones_plassmann_coloring,
@@ -69,7 +68,7 @@ from .graphs import (
     summarize,
     watts_strogatz,
 )
-from .harness import baseline_executor, build, make_executor, run_gpu_coloring
+from .harness import build, run_gpu_coloring
 from .loadbalance import StealingConfig, simulate_work_stealing
 from .metrics import geometric_mean, imbalance_factor, percent_improvement, speedup
 
@@ -86,7 +85,6 @@ __all__ = [
     "count_conflicts",
     "dsatur",
     "greedy_first_fit",
-    "hybrid_mapping_executor",
     "hybrid_switch_coloring",
     "is_valid_coloring",
     "jones_plassmann_coloring",
@@ -122,9 +120,7 @@ __all__ = [
     "MemoryModel",
     "named_device",
     # harness
-    "baseline_executor",
     "build",
-    "make_executor",
     "run_gpu_coloring",
     # loadbalance
     "StealingConfig",

@@ -50,7 +50,6 @@ from .graphs.stats import summarize
 from .harness.runner import (
     CPU_ALGORITHMS,
     GPU_ALGORITHMS,
-    make_executor,
     run_cpu_coloring,
     run_gpu_coloring,
 )
@@ -1094,9 +1093,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from .harness.autotune import autotune
 
     graph, name = _resolve_graph(args.graph, args.scale)
-    device = named_device(args.device)
     ctx = _make_context(args)
-    outcome = autotune(graph, device, seed=args.seed, context=ctx)
+    outcome = autotune(graph, seed=args.seed, context=ctx)
     print(format_table(outcome.scoreboard_rows(), title=f"{name}: autotune scoreboard"))
     cfg = outcome.best
     print()
@@ -1105,16 +1103,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         f"degree_threshold={cfg.degree_threshold} chunk_size={cfg.chunk_size}"
     )
     if args.run:
-        executor = make_executor(
-            device,
-            mapping=cfg.mapping,
-            schedule=cfg.schedule,
-            degree_threshold=cfg.degree_threshold,
-            chunk_size=cfg.chunk_size,
-            workgroup_size=min(cfg.workgroup_size, device.max_workgroup_size),
-            context=ctx,
+        result = run_gpu_coloring(
+            graph, "maxmin", ctx.executor(cfg), seed=args.seed, context=ctx
         )
-        result = run_gpu_coloring(graph, "maxmin", executor, seed=args.seed, context=ctx)
         print()
         print(format_kv(result.as_row(), title="tuned run (validated)"))
     return 0
@@ -1260,8 +1251,8 @@ def _sweep_rows_parallel(args: argparse.Namespace, jobs: int) -> list[dict]:
     try:
         batch_rows = run_batch(
             cells,
-            device=named_device(args.device),
             scale=args.scale,
+            context=_make_context(args),
             parallel_jobs=jobs,
             recorder=recorder,
         )
@@ -1313,8 +1304,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     try:
         rows = run_batch(
             jobs,
-            device=named_device(args.device),
             scale=args.scale,
+            context=_make_context(args),
             deep_validate=args.deep_validate,
             parallel_jobs=args.jobs,
             recorder=recorder,

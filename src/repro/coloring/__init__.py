@@ -20,7 +20,7 @@ from .distance2 import (
     validate_distance2,
 )
 from .edge_centric import edge_centric_maxmin, edge_kernel_cycles_per_item
-from .hybrid import hybrid_mapping_executor, hybrid_switch_coloring
+from .hybrid import hybrid_switch_coloring
 from .incremental import IncrementalColoring
 from .jacobian import (
     column_intersection_coloring,
@@ -73,7 +73,6 @@ __all__ = [
     "speculative_distance2",
     "two_hop_work",
     "validate_distance2",
-    "hybrid_mapping_executor",
     "hybrid_switch_coloring",
     "IncrementalColoring",
     "column_intersection_coloring",

@@ -4,10 +4,10 @@ Two distinct "hybrid" ideas appear in the paper, both implemented here:
 
 1. **Hybrid mapping** — degree-binned kernels (low-degree vertices run
    thread-per-vertex, high-degree run wavefront-per-vertex). That is a
-   property of the *execution engine*, not the algorithm:
-   :func:`hybrid_mapping_executor` builds the pre-configured
-   :class:`~repro.coloring.kernels.GPUExecutor` and any algorithm runs
-   under it unchanged.
+   property of the *execution engine*, not the algorithm: an executor
+   built with ``RunContext(...).executor(mapping="hybrid",
+   degree_threshold=...)`` runs any algorithm unchanged (see
+   :class:`~repro.coloring.kernels.ExecutionConfig`).
 
 2. **Hybrid algorithm (algorithm switch)** — run max-min while the
    active set is large (massive parallelism amortizes the sweeps), then
@@ -21,46 +21,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine.context import RunContext, resolve_context
-from ..gpusim.device import DeviceConfig
-from ..gpusim.memory import MemoryModel
 from ..graphs.csr import CSRGraph
 from .base import UNCOLORED, ColoringResult
-from .kernels import ExecutionConfig, GPUExecutor
+from .kernels import GPUExecutor
 from .maxmin import compact_colors, maxmin_coloring
 from .speculative import speculative_rounds
 
-__all__ = ["hybrid_mapping_executor", "hybrid_switch_coloring"]
-
-
-def hybrid_mapping_executor(
-    device: DeviceConfig | None = None,
-    *,
-    degree_threshold: int = 64,
-    schedule: str = "grid",
-    workgroup_size: int = 256,
-    memory: MemoryModel | None = None,
-    context: RunContext | None = None,
-    **config_kwargs,
-) -> GPUExecutor:
-    """An execution engine with the degree-binned hybrid mapping.
-
-    ``degree_threshold`` is the bin boundary: vertices with degree below
-    it run one-lane-per-vertex, the rest cooperatively one wavefront
-    (grid schedule) or workgroup (persistent schedules) per vertex.
-    Experiment E7 sweeps this threshold. Pass a ``context`` to share its
-    plan cache and run-level counters (and its device, when ``device``
-    is omitted).
-    """
-    cfg = ExecutionConfig(
-        mapping="hybrid",
-        schedule=schedule,
-        workgroup_size=workgroup_size,
-        degree_threshold=degree_threshold,
-        **config_kwargs,
-    )
-    if device is None and context is None:
-        raise ValueError("pass a device, a context, or both")
-    return GPUExecutor(device, cfg, memory, context=context)
+__all__ = ["hybrid_switch_coloring"]
 
 
 def hybrid_switch_coloring(

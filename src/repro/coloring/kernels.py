@@ -348,33 +348,22 @@ def _workgroup_costs(
 class GPUExecutor:
     """Times coloring-iteration kernels under a mapping × schedule.
 
-    One executor instance is reused across all iterations of a run; it
-    is bound to a :class:`~repro.engine.context.RunContext` (built on
-    the fly for the legacy ``GPUExecutor(device, config, memory)`` call
-    form) whose plan cache memoizes work distributions and whose
-    run-level counters aggregate across every executor in the context.
+    One executor instance is reused across all iterations of a run. It
+    is bound to a :class:`~repro.engine.context.RunContext`, which owns
+    the device and memory model it times on, the plan cache that
+    memoizes work distributions, and the run-level counters that
+    aggregate across every executor in the context. Build one with
+    :meth:`RunContext.executor <repro.engine.context.RunContext.executor>`.
 
     Host loops log their sweeps in a :class:`SweepLog` and time the
     whole log with :meth:`time_kernels`; :meth:`time_iteration` and
     :meth:`time_uniform` are its one-kernel case.
     """
 
-    def __init__(
-        self,
-        device: DeviceConfig | None = None,
-        config: ExecutionConfig | None = None,
-        memory: MemoryModel | None = None,
-        *,
-        context: RunContext | None = None,
-    ) -> None:
-        if context is None:
-            context = RunContext(
-                device=device if device is not None else DeviceConfig(),
-                memory=memory,
-            )
+    def __init__(self, context: RunContext, config: ExecutionConfig | None = None) -> None:
         self.context = context
-        self.device = device if device is not None else context.device
-        self.memory = memory if memory is not None else context.memory
+        self.device = context.device
+        self.memory = context.memory
         self.config = config or ExecutionConfig()
         self.costs = CostModel(self.device, self.memory)
         self.plans = context.plans

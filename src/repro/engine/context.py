@@ -44,9 +44,10 @@ class RunContext:
     Parameters
     ----------
     device:
-        Machine model every executor built from this context targets.
+        Machine model every executor built from this context times on.
     memory:
-        Memory-system model; built from ``device`` when omitted.
+        Memory-system model for ``device``; built from it when omitted.
+        Every executor built from this context uses it.
     seed:
         Default RNG seed for algorithms that are not given one
         explicitly (priorities, conflict tie-breaks).
@@ -78,6 +79,8 @@ class RunContext:
     def __post_init__(self) -> None:
         if self.memory is None:
             self.memory = MemoryModel(self.device)
+        elif self.memory.device != self.device:
+            raise ValueError("memory model is for a different device than the context's")
         if isinstance(self.backend, str):
             self.backend = make_backend(self.backend)
 
@@ -92,8 +95,10 @@ class RunContext:
     ) -> "GPUExecutor":
         """Build a :class:`GPUExecutor` bound to this context.
 
-        Pass either a ready :class:`ExecutionConfig` or its keyword
-        fields (``mapping=...``, ``schedule=...``, ...).
+        This is the one way to build an executor: it times on this
+        context's device and memory model. Pass either a ready
+        :class:`ExecutionConfig` or its keyword fields (``mapping=...``,
+        ``schedule=...``, ...).
         """
         from ..coloring.kernels import ExecutionConfig, GPUExecutor
 
@@ -101,7 +106,7 @@ class RunContext:
             config = ExecutionConfig(**config_kwargs)
         elif config_kwargs:
             raise ValueError("pass either a config object or keyword fields, not both")
-        return GPUExecutor(self.device, config, self.memory, context=self)
+        return GPUExecutor(self, config)
 
     def resolve_seed(self, seed: int | None) -> int:
         """An explicit seed wins; ``None`` falls back to the context's."""

@@ -20,8 +20,6 @@ from .parallel import (
 from .runner import (
     CPU_ALGORITHMS,
     GPU_ALGORITHMS,
-    baseline_executor,
-    make_executor,
     run_cpu_coloring,
     run_gpu_coloring,
 )
@@ -31,8 +29,6 @@ from .sweeps import grid_points, sweep, sweep1d
 __all__ = [
     "CPU_ALGORITHMS",
     "GPU_ALGORITHMS",
-    "baseline_executor",
-    "make_executor",
     "run_cpu_coloring",
     "run_gpu_coloring",
     "SCALES",

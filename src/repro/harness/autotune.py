@@ -22,9 +22,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..coloring.kernels import ExecutionConfig, GPUExecutor
+from ..coloring.kernels import ExecutionConfig
 from ..engine.context import RunContext
-from ..gpusim.device import RADEON_HD_7950, DeviceConfig
+from ..gpusim.device import DeviceConfig
 from ..graphs.csr import CSRGraph
 
 if TYPE_CHECKING:
@@ -94,7 +94,6 @@ class TuneOutcome:
 
 def autotune(
     graph: CSRGraph,
-    device: DeviceConfig = RADEON_HD_7950,
     *,
     candidates: list[ExecutionConfig] | None = None,
     probe_fraction: float = 0.3,
@@ -108,20 +107,22 @@ def autotune(
     Each candidate times one synthetic sweep over a random sample of
     ``probe_fraction`` of the vertices (plus the full first sweep for
     the two leaders, as a tie-break). Deterministic given ``seed``.
-    All probe executors share one context, so the tie-break rescoring
-    (and any caller reusing the context afterwards) hits warm plans.
+    All probe executors share one context (a fresh default
+    :class:`~repro.engine.context.RunContext` when ``context`` is
+    omitted) and time on its device, so the tie-break rescoring (and
+    any caller reusing the context afterwards) hits warm plans.
 
     With a ``recorder``, the winning configuration and full scoreboard
     are upserted into the run store's ``tunings`` table.
     """
     if not 0.0 < probe_fraction <= 1.0:
         raise ValueError("probe_fraction must be in (0, 1]")
-    ctx = context if context is not None else RunContext(device=device)
+    ctx = context if context is not None else RunContext()
     seed = ctx.resolve_seed(seed)
     candidates = candidates if candidates is not None else candidate_configs()
     if not candidates:
         raise ValueError("need at least one candidate configuration")
-    candidates = [_fit_to_device(c, device) for c in candidates]
+    candidates = [_fit_to_device(c, ctx.device) for c in candidates]
 
     rng = np.random.default_rng(seed)
     deg = graph.degrees
@@ -141,7 +142,7 @@ def autotune(
     with span:
         scoreboard: list[tuple[ExecutionConfig, float]] = []
         for cfg in candidates:
-            ex = GPUExecutor(device, cfg, context=ctx)
+            ex = ctx.executor(cfg)
             cycles = ex.time_iteration(sample, name="probe").cycles
             if tracer is not None:
                 tracer.instant(
@@ -161,7 +162,7 @@ def autotune(
         if len(leaders) == 2 and leaders[1][1] < 1.1 * leaders[0][1]:
             rescored = []
             for cfg, _ in leaders:
-                ex = GPUExecutor(device, cfg, context=ctx)
+                ex = ctx.executor(cfg)
                 rescored.append((cfg, ex.time_iteration(deg, name="probe-full").cycles))
             rescored.sort(key=lambda t: t[1])
             best_cfg, best_cycles = rescored[0]

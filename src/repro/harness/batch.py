@@ -18,8 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..engine.context import RunContext
-from ..gpusim.device import RADEON_HD_7950, DeviceConfig
-from .runner import make_executor, run_gpu_coloring
+from .runner import run_gpu_coloring
 from .suite import SUITE, build
 
 if TYPE_CHECKING:
@@ -52,7 +51,6 @@ def run_batch_cell(
     graph,
     ctx: RunContext,
     *,
-    device: DeviceConfig | None = None,
     deep_validate: bool = False,
     recorder: "Recorder | None" = None,
     scale: str = "",
@@ -61,19 +59,13 @@ def run_batch_cell(
 
     Shared by the serial loop and the process-pool workers
     (:mod:`repro.harness.parallel`), so both paths report identical
-    rows by construction.  ``device`` defaults to the context's.
+    rows by construction. The cell times on ``ctx.device``.
 
     With a ``recorder``, the cell additionally lands in the run store
     (with its host wall time); the returned row is unchanged either
     way, so recorded and unrecorded batches stay bit-identical.
     """
-    executor = make_executor(
-        device if device is not None else ctx.device,
-        mapping=job.mapping,
-        schedule=job.schedule,
-        context=ctx,
-        **job.config,
-    )
+    executor = ctx.executor(mapping=job.mapping, schedule=job.schedule, **job.config)
     span = (
         ctx.tracer.span(job.name, dataset=job.dataset, algorithm=job.algorithm)
         if ctx.tracer is not None
@@ -123,7 +115,6 @@ def run_batch_cell(
 def run_batch(
     jobs: Sequence[BatchJob],
     *,
-    device: DeviceConfig = RADEON_HD_7950,
     scale: str = "small",
     context: RunContext | None = None,
     deep_validate: bool = False,
@@ -132,18 +123,19 @@ def run_batch(
 ) -> list[dict[str, object]]:
     """Run every job, validating each coloring; returns one row per job.
 
-    With ``parallel_jobs <= 1`` all jobs share one
-    :class:`~repro.engine.context.RunContext` (the given one, or a fresh
-    context for ``device``): execution plans warm up across cells that
-    repeat a graph × configuration, and ``context.counters`` aggregates
-    the whole matrix while each row still reports its own executor's
-    window.
+    Every cell times on the context's device and memory model (a fresh
+    default :class:`~repro.engine.context.RunContext` when ``context``
+    is omitted). With ``parallel_jobs <= 1`` all jobs share that
+    context: execution plans warm up across cells that repeat a graph ×
+    configuration, and ``context.counters`` aggregates the whole matrix
+    while each row still reports its own executor's window.
 
     With ``parallel_jobs > 1`` the cells run across that many worker
     processes (see :func:`repro.harness.parallel.run_batch_parallel`):
-    each cell gets a fresh worker context, graphs are shared read-only
-    via shared memory, rows come back in job order, and — because every
-    cell is self-contained — the rows are bit-identical to a serial run.
+    each cell gets a fresh worker context on the same device and memory
+    model, graphs are shared read-only via shared memory, rows come back
+    in job order, and — because every cell is self-contained — the rows
+    are bit-identical to a serial run.
     A tracer on ``context`` still receives every worker's events, merged
     in job order; ``context.counters`` does not aggregate across
     processes.
@@ -158,19 +150,18 @@ def run_batch(
     content-keyed upsert keeps the recorded row set identical to a
     serial run.
     """
+    ctx = context if context is not None else RunContext()
     if parallel_jobs > 1:
         from .parallel import run_batch_parallel
 
         return run_batch_parallel(
             jobs,
-            device=device,
             scale=scale,
             jobs=parallel_jobs,
             deep_validate=deep_validate,
-            context=context,
+            context=ctx,
             recorder=recorder,
         )
-    ctx = context if context is not None else RunContext(device=device)
     rows: list[dict[str, object]] = []
     for job in jobs:
         if job.dataset in SUITE:
@@ -182,7 +173,6 @@ def run_batch(
                 job,
                 graph,
                 ctx,
-                device=device,
                 deep_validate=deep_validate,
                 recorder=recorder,
                 scale=scale,

@@ -43,6 +43,7 @@ from ..graphs.csr import CSRGraph
 if TYPE_CHECKING:
     from ..engine.context import RunContext
     from ..gpusim.device import DeviceConfig
+    from ..gpusim.memory import MemoryModel
     from ..store.recorder import Recorder, RecorderSpec
     from .batch import BatchJob
 
@@ -269,11 +270,14 @@ def parallel_map(
 
 def _batch_cell(
     payload: tuple[
-        "BatchJob", SharedGraphRef, "DeviceConfig", bool, bool,
+        "BatchJob", SharedGraphRef, "DeviceConfig", "MemoryModel", bool, bool,
         "RecorderSpec | None", str,
     ],
 ) -> tuple[dict[str, object], list[dict], dict]:
     """Run one batch cell in a worker: fresh context, shared graph.
+
+    The worker context times on the parent context's device and memory
+    model.
 
     When the payload carries a :class:`~repro.store.recorder.RecorderSpec`,
     the worker rebuilds a recorder on the shared WAL-mode database and
@@ -283,9 +287,9 @@ def _batch_cell(
     from ..obs.registry import MetricsRegistry
     from .batch import run_batch_cell
 
-    job, ref, device, deep_validate, trace, spec, scale = payload
+    job, ref, device, memory, deep_validate, trace, spec, scale = payload
     graph = attach_graph(ref)
-    ctx = RunContext(device=device)
+    ctx = RunContext(device=device, memory=memory)
     ring = None
     registry = MetricsRegistry()
     if trace:
@@ -309,7 +313,6 @@ def _batch_cell(
 def run_batch_parallel(
     jobs_list: Sequence["BatchJob"],
     *,
-    device: "DeviceConfig",
     scale: str,
     jobs: int,
     deep_validate: bool = False,
@@ -320,9 +323,11 @@ def run_batch_parallel(
     """Execute batch cells across ``jobs`` worker processes.
 
     Bit-identical to the serial runner: every cell is self-contained
-    (fresh worker context, explicit seed), graphs are built once in the
-    parent and attached zero-copy in workers, and rows return in job
-    order.  When ``context`` carries a tracer, worker trace events are
+    (a fresh worker context on ``context``'s device and memory model —
+    a default :class:`~repro.engine.context.RunContext` when omitted —
+    and an explicit seed), graphs are built once in the parent and
+    attached zero-copy in workers, and rows return in job order.  When
+    ``context`` carries a tracer, worker trace events are
     replayed into its sink in job order — including any
     :class:`~repro.obs.registry.MetricsRegistry` teed onto it — so the
     merged stream matches a serial traced run cell for cell.
@@ -332,8 +337,10 @@ def run_batch_parallel(
     its own cells, exercising genuinely concurrent writes while the
     content-keyed upsert keeps the stored row set identical to serial.
     """
+    from ..engine.context import RunContext
     from .suite import SUITE, build
 
+    parent = context if context is not None else RunContext()
     for job in jobs_list:
         if job.dataset not in SUITE:
             raise KeyError(f"unknown dataset {job.dataset!r}")
@@ -344,7 +351,10 @@ def run_batch_parallel(
             if job.dataset not in store._refs:
                 store.publish(job.dataset, build(job.dataset, scale))
         payloads = [
-            (job, store.ref(job.dataset), device, deep_validate, trace, spec, scale)
+            (
+                job, store.ref(job.dataset), parent.device, parent.memory,
+                deep_validate, trace, spec, scale,
+            )
             for job in jobs_list
         ]
         results = parallel_map(

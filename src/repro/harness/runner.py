@@ -1,9 +1,9 @@
 """Run helpers shared by benchmarks, examples, and the CLI.
 
-One place that knows how to assemble an execution engine from option
-strings, run any algorithm under it, validate the coloring, and produce
-comparison rows — so every benchmark stays a thin declaration of *what*
-to run.
+One place that knows how to run any algorithm by name under an
+executor, validate the coloring, and record the run — so every
+benchmark stays a thin declaration of *what* to run. Executors come
+from :meth:`RunContext.executor <repro.engine.context.RunContext.executor>`.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ from ..coloring.base import ColoringResult
 from ..coloring.edge_centric import edge_centric_maxmin
 from ..coloring.hybrid import hybrid_switch_coloring
 from ..coloring.jones_plassmann import jones_plassmann_coloring
-from ..coloring.kernels import ExecutionConfig, GPUExecutor
+from ..coloring.kernels import GPUExecutor
 from ..coloring.maxmin import maxmin_coloring
 from ..coloring.partitioned import partitioned_coloring
 from ..coloring.sequential import dsatur, greedy_first_fit, smallest_last, welsh_powell
 from ..coloring.speculative import speculative_coloring
-from ..engine.context import RunContext, resolve_context
-from ..gpusim.device import RADEON_HD_7950, DeviceConfig
-from ..gpusim.memory import MemoryModel
+from ..engine.context import RunContext
 from ..graphs.csr import CSRGraph
 
 if TYPE_CHECKING:
@@ -33,10 +31,8 @@ if TYPE_CHECKING:
 __all__ = [
     "GPU_ALGORITHMS",
     "CPU_ALGORITHMS",
-    "make_executor",
     "run_gpu_coloring",
     "run_cpu_coloring",
-    "baseline_executor",
 ]
 
 #: GPU algorithms: name → callable(graph, executor, seed=...) → ColoringResult.
@@ -57,32 +53,6 @@ CPU_ALGORITHMS: dict[str, Callable[[CSRGraph], ColoringResult]] = {
     "smallest-last": smallest_last,
     "dsatur": dsatur,
 }
-
-
-def make_executor(
-    device: DeviceConfig = RADEON_HD_7950,
-    *,
-    mapping: str = "thread",
-    schedule: str = "grid",
-    memory: MemoryModel | None = None,
-    context: RunContext | None = None,
-    **config_kwargs,
-) -> GPUExecutor:
-    """Build an execution engine from plain option values.
-
-    Pass a :class:`~repro.engine.context.RunContext` to share its plan
-    cache and run-level counters across executors; without one a fresh
-    context is created behind the scenes.
-    """
-    cfg = ExecutionConfig(mapping=mapping, schedule=schedule, **config_kwargs)
-    return GPUExecutor(device, cfg, memory, context=context)
-
-
-def baseline_executor(
-    device: DeviceConfig = RADEON_HD_7950, *, context: RunContext | None = None
-) -> GPUExecutor:
-    """The paper's baseline configuration: thread-per-vertex grid kernel."""
-    return make_executor(device, mapping="thread", schedule="grid", context=context)
 
 
 def _trace_events(ctx: RunContext | None):

@@ -215,8 +215,7 @@ class JobExecutor:
         )
         spec = json.loads(job["spec"])
         plan = expand_spec(spec)
-        device = named_device(plan.device)
-        ctx = RunContext(device=device)
+        ctx = RunContext(device=named_device(plan.device))
         job_registry = MetricsRegistry()
         # small ring: /metrics only needs the registry's exact aggregates
         ctx.enable_tracing(capacity=256, registry=job_registry)
@@ -237,7 +236,6 @@ class JobExecutor:
                     rows.extend(
                         run_batch(
                             part,
-                            device=device,
                             scale=plan.scale,
                             context=ctx,
                             parallel_jobs=self.job_workers,
@@ -256,7 +254,6 @@ class JobExecutor:
                                 cell,
                                 graph,
                                 ctx,
-                                device=device,
                                 recorder=group_recorder,
                                 scale=plan.scale,
                             )

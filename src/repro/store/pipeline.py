@@ -212,6 +212,7 @@ def run_pipeline(
     ``pipeline:<pipeline>/<step>``; the rows (and the recorded row
     set) are bit-identical for any ``jobs`` value.
     """
+    from ..engine.context import RunContext
     from ..gpusim.device import RADEON_HD_7950
     from ..harness.batch import run_batch
 
@@ -223,8 +224,8 @@ def run_pipeline(
         rows.extend(
             run_batch(
                 step.jobs(),
-                device=device,
                 scale=scale,
+                context=RunContext(device=device),
                 deep_validate=deep_validate,
                 parallel_jobs=jobs,
                 recorder=step_recorder,

@@ -4,14 +4,14 @@ import pytest
 
 from repro.analysis.report import run_report
 from repro.coloring.maxmin import maxmin_coloring
-from repro.harness.runner import make_executor
+from repro.engine.context import RunContext
 from repro.harness.suite import build
 
 
 @pytest.fixture
 def run():
     graph = build("powerlaw", "tiny")
-    executor = make_executor()
+    executor = RunContext().executor()
     result = maxmin_coloring(graph, executor, seed=0)
     return graph, result, executor
 

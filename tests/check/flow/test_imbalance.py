@@ -27,8 +27,7 @@ from repro.check.flow.imbalance import (
     work_model,
 )
 from repro.coloring.device_kernels import DEVICE_KERNELS, DeviceKernel
-from repro.gpusim.device import RADEON_HD_7950
-from repro.harness.runner import make_executor
+from repro.engine.context import RunContext
 from repro.harness.suite import SUITE, build
 from repro.metrics import imbalance_factor
 
@@ -177,7 +176,7 @@ class TestCrossValidation:
 
     @pytest.fixture(scope="class")
     def measured(self):
-        executor = make_executor(RADEON_HD_7950, schedule="static")
+        executor = RunContext().executor(schedule="static")
         degrees, measured = {}, []
         for name in SUITE:
             graph = build(name, "small")

@@ -8,8 +8,8 @@ from repro.coloring.edge_centric import (
     edge_kernel_cycles_per_item,
 )
 from repro.coloring.maxmin import maxmin_coloring
+from repro.engine.context import RunContext
 from repro.graphs import generators as gen
-from repro.harness.runner import make_executor
 
 
 class TestAlgorithmEquivalence:
@@ -45,14 +45,14 @@ class TestTiming:
 
     def test_beats_vertex_centric_on_heavy_skew(self):
         g = gen.rmat(11, edge_factor=12, seed=1)
-        vc = maxmin_coloring(g, make_executor(), seed=0)
-        ec = edge_centric_maxmin(g, make_executor(), seed=0)
+        vc = maxmin_coloring(g, RunContext().executor(), seed=0)
+        ec = edge_centric_maxmin(g, RunContext().executor(), seed=0)
         assert ec.total_cycles < vc.total_cycles
 
     def test_loses_to_vertex_centric_on_uniform(self):
         g = gen.grid_2d(45, 45)
-        vc = maxmin_coloring(g, make_executor(), seed=0)
-        ec = edge_centric_maxmin(g, make_executor(), seed=0)
+        vc = maxmin_coloring(g, RunContext().executor(), seed=0)
+        ec = edge_centric_maxmin(g, RunContext().executor(), seed=0)
         assert ec.total_cycles > vc.total_cycles
 
     def test_edge_item_cost_positive_uniform(self, executor):
@@ -91,5 +91,5 @@ class TestTimeUniform:
         from repro.harness.suite import build
 
         g = build("powerlaw", "tiny")
-        r = run_gpu_coloring(g, "edge-centric", make_executor(), seed=0)
+        r = run_gpu_coloring(g, "edge-centric", RunContext().executor(), seed=0)
         assert r.algorithm == "edge-centric-maxmin"

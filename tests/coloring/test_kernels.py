@@ -8,10 +8,10 @@ from repro.coloring.kernels import (
     SCHEDULES,
     CostModel,
     ExecutionConfig,
-    GPUExecutor,
     SweepLog,
 )
-from repro.gpusim.device import RADEON_HD_7950, DeviceConfig
+from repro.engine.context import RunContext
+from repro.gpusim.device import RADEON_HD_7950, RADEON_R9_290X, DeviceConfig
 from repro.gpusim.memory import MemoryModel
 from repro.loadbalance.workstealing import StealingConfig
 
@@ -82,22 +82,18 @@ class TestExecutionConfigValidation:
 
     def test_workgroup_must_match_device(self):
         with pytest.raises(ValueError, match="wavefront"):
-            GPUExecutor(RADEON_HD_7950, ExecutionConfig(workgroup_size=96, chunk_size=96))
+            RunContext().executor(ExecutionConfig(workgroup_size=96, chunk_size=96))
 
     def test_workgroup_exceeds_device_limit(self):
         with pytest.raises(ValueError, match="device limit"):
-            GPUExecutor(
-                RADEON_HD_7950, ExecutionConfig(workgroup_size=512, chunk_size=512)
-            )
+            RunContext().executor(ExecutionConfig(workgroup_size=512, chunk_size=512))
 
 
 @pytest.mark.parametrize("mapping", MAPPINGS)
 @pytest.mark.parametrize("schedule", SCHEDULES)
 class TestAllModes:
     def test_every_mode_times_work(self, mapping, schedule):
-        ex = GPUExecutor(
-            RADEON_HD_7950, ExecutionConfig(mapping=mapping, schedule=schedule)
-        )
+        ex = RunContext().executor(ExecutionConfig(mapping=mapping, schedule=schedule))
         rng = np.random.default_rng(0)
         deg = rng.integers(1, 300, size=2000)
         t = ex.time_iteration(deg)
@@ -105,26 +101,20 @@ class TestAllModes:
         assert 0 < t.simd_efficiency <= 1.0
 
     def test_empty_active_set_is_free(self, mapping, schedule):
-        ex = GPUExecutor(
-            RADEON_HD_7950, ExecutionConfig(mapping=mapping, schedule=schedule)
-        )
+        ex = RunContext().executor(ExecutionConfig(mapping=mapping, schedule=schedule))
         t = ex.time_iteration(np.array([], dtype=int))
         assert t.cycles == 0.0
         assert t.simd_efficiency == 1.0
 
     def test_more_work_costs_more(self, mapping, schedule):
-        ex = GPUExecutor(
-            RADEON_HD_7950, ExecutionConfig(mapping=mapping, schedule=schedule)
-        )
+        ex = RunContext().executor(ExecutionConfig(mapping=mapping, schedule=schedule))
         rng = np.random.default_rng(1)
         small = rng.integers(1, 50, size=500)
         big = np.concatenate([small] * 8)
         assert ex.time_iteration(big).cycles > ex.time_iteration(small).cycles
 
     def test_rejects_negative_degrees(self, mapping, schedule):
-        ex = GPUExecutor(
-            RADEON_HD_7950, ExecutionConfig(mapping=mapping, schedule=schedule)
-        )
+        ex = RunContext().executor(ExecutionConfig(mapping=mapping, schedule=schedule))
         with pytest.raises(ValueError):
             ex.time_iteration(np.array([-1]))
 
@@ -134,16 +124,14 @@ class TestMappingShapes:
         rng = np.random.default_rng(2)
         deg = rng.integers(1, 16, size=10_000)
         deg[:20] = 8000  # hubs
-        thread = GPUExecutor(RADEON_HD_7950, ExecutionConfig(mapping="thread"))
-        hybrid = GPUExecutor(RADEON_HD_7950, ExecutionConfig(mapping="hybrid"))
+        thread = RunContext().executor(ExecutionConfig(mapping="thread"))
+        hybrid = RunContext().executor(ExecutionConfig(mapping="hybrid"))
         assert hybrid.time_iteration(deg).cycles < 0.7 * thread.time_iteration(deg).cycles
 
     def test_hybrid_equals_thread_when_threshold_above_max(self):
         deg = np.random.default_rng(3).integers(1, 40, size=3000)
-        thread = GPUExecutor(RADEON_HD_7950, ExecutionConfig(mapping="thread"))
-        hybrid = GPUExecutor(
-            RADEON_HD_7950, ExecutionConfig(mapping="hybrid", degree_threshold=100)
-        )
+        thread = RunContext().executor(ExecutionConfig(mapping="thread"))
+        hybrid = RunContext().executor(ExecutionConfig(mapping="hybrid", degree_threshold=100))
         assert hybrid.time_iteration(deg).cycles == pytest.approx(
             thread.time_iteration(deg).cycles
         )
@@ -152,8 +140,8 @@ class TestMappingShapes:
         rng = np.random.default_rng(4)
         deg = rng.integers(1, 16, size=5000)
         deg[0] = 10_000
-        thread = GPUExecutor(RADEON_HD_7950, ExecutionConfig(mapping="thread"))
-        wavefront = GPUExecutor(RADEON_HD_7950, ExecutionConfig(mapping="wavefront"))
+        thread = RunContext().executor(ExecutionConfig(mapping="thread"))
+        wavefront = RunContext().executor(ExecutionConfig(mapping="wavefront"))
         assert (
             wavefront.time_iteration(deg).cycles
             < thread.time_iteration(deg).cycles
@@ -161,15 +149,15 @@ class TestMappingShapes:
 
     def test_uniform_degrees_make_thread_optimal(self):
         deg = np.full(5000, 6)
-        thread = GPUExecutor(RADEON_HD_7950, ExecutionConfig(mapping="thread"))
-        wavefront = GPUExecutor(RADEON_HD_7950, ExecutionConfig(mapping="wavefront"))
+        thread = RunContext().executor(ExecutionConfig(mapping="thread"))
+        wavefront = RunContext().executor(ExecutionConfig(mapping="wavefront"))
         assert thread.time_iteration(deg).cycles < wavefront.time_iteration(deg).cycles
 
     def test_sort_by_degree_never_hurts_total_divergence(self):
         rng = np.random.default_rng(5)
         deg = rng.pareto(1.2, size=4000).astype(int) + 1
-        plain = GPUExecutor(RADEON_HD_7950, ExecutionConfig())
-        srt = GPUExecutor(RADEON_HD_7950, ExecutionConfig(sort_by_degree=True))
+        plain = RunContext().executor(ExecutionConfig())
+        srt = RunContext().executor(ExecutionConfig(sort_by_degree=True))
         assert srt.time_iteration(deg).simd_efficiency >= plain.time_iteration(deg).simd_efficiency
 
 
@@ -177,13 +165,13 @@ class TestScheduleShapes:
     def test_stealing_beats_static_on_skewed_chunks(self):
         rng = np.random.default_rng(6)
         deg = rng.pareto(1.0, size=20_000).astype(int) + 1
-        static = GPUExecutor(RADEON_HD_7950, ExecutionConfig(schedule="static"))
-        steal = GPUExecutor(RADEON_HD_7950, ExecutionConfig(schedule="stealing"))
+        static = RunContext().executor(ExecutionConfig(schedule="static"))
+        steal = RunContext().executor(ExecutionConfig(schedule="stealing"))
         assert steal.time_iteration(deg).cycles < static.time_iteration(deg).cycles
 
     def test_stealing_stats_exposed(self):
         deg = np.random.default_rng(7).integers(1, 200, size=8000)
-        ex = GPUExecutor(RADEON_HD_7950, ExecutionConfig(schedule="stealing"))
+        ex = RunContext().executor(ExecutionConfig(schedule="stealing"))
         t = ex.time_iteration(deg)
         assert t.stealing is not None
         assert t.stealing.chunks_executed.sum() > 0
@@ -193,42 +181,45 @@ class TestScheduleShapes:
             schedule="stealing",
             stealing=StealingConfig(num_workers=3, steal_cycles=10.0),
         )
-        ex = GPUExecutor(RADEON_HD_7950, cfg)
+        ex = RunContext().executor(cfg)
         t = ex.time_iteration(np.full(10_000, 8))
         # worker count silently normalized to the device's CU count
         assert t.stealing.busy_cycles.size == RADEON_HD_7950.num_cus
 
     def test_grid_launch_overhead_charged_once(self):
-        ex = GPUExecutor(RADEON_HD_7950, ExecutionConfig())
+        ex = RunContext().executor(ExecutionConfig())
         t = ex.time_iteration(np.array([1]))
         assert t.cycles >= RADEON_HD_7950.launch_cycles
 
     def test_persistent_groups_per_cu_scales_workers(self):
         deg = np.random.default_rng(8).integers(1, 100, size=30_000)
-        one = GPUExecutor(
-            RADEON_HD_7950,
-            ExecutionConfig(schedule="dynamic", persistent_groups_per_cu=1),
-        )
-        two = GPUExecutor(
-            RADEON_HD_7950,
-            ExecutionConfig(schedule="dynamic", persistent_groups_per_cu=2),
-        )
+        one = RunContext().executor(ExecutionConfig(schedule="dynamic", persistent_groups_per_cu=1))
+        two = RunContext().executor(ExecutionConfig(schedule="dynamic", persistent_groups_per_cu=2))
         t1, t2 = one.time_iteration(deg), two.time_iteration(deg)
         assert t2.cu_busy.size == 2 * t1.cu_busy.size
+
+
+class TestContextDevice:
+    def test_sweep_times_on_the_context_device_and_memory(self):
+        # 200k vertices of degree 40 on the R9 290X; the R9's compute
+        # paired with the HD 7950's memory model would give 888,600
+        ex = RunContext(device=RADEON_R9_290X).executor()
+        t = ex.time_iteration(np.full(200_000, 40))
+        assert t.cycles == pytest.approx(722_000, rel=1e-12)
 
 
 class TestBandwidthRoofline:
     def test_roofline_binds_on_starved_device(self):
         dev = RADEON_HD_7950.with_overrides(dram_bandwidth_gbps=0.01)
-        ex = GPUExecutor(dev, ExecutionConfig())
-        rich = GPUExecutor(RADEON_HD_7950, ExecutionConfig())
+        ex = RunContext(device=dev).executor(ExecutionConfig())
+        rich = RunContext().executor(ExecutionConfig())
         deg = np.full(5000, 16)
         assert ex.time_iteration(deg).cycles > rich.time_iteration(deg).cycles
 
     def test_roofline_applies_to_persistent_schedules(self):
         dev = RADEON_HD_7950.with_overrides(dram_bandwidth_gbps=0.01)
-        ex = GPUExecutor(dev, ExecutionConfig(schedule="stealing"))
-        rich = GPUExecutor(RADEON_HD_7950, ExecutionConfig(schedule="stealing"))
+        ex = RunContext(device=dev).executor(ExecutionConfig(schedule="stealing"))
+        rich = RunContext().executor(ExecutionConfig(schedule="stealing"))
         deg = np.full(5000, 16)
         assert ex.time_iteration(deg).cycles > rich.time_iteration(deg).cycles
 
@@ -238,7 +229,7 @@ class TestTimingInputValidation:
 
     @pytest.fixture
     def ex(self):
-        return GPUExecutor(RADEON_HD_7950, ExecutionConfig())
+        return RunContext().executor(ExecutionConfig())
 
     def test_fractional_degrees_rejected(self, ex):
         with pytest.raises(ValueError, match="integers"):
@@ -251,7 +242,7 @@ class TestTimingInputValidation:
 
     def test_integer_valued_float_degrees_accepted(self, ex):
         as_float = ex.time_iteration(np.array([1.0, 2.0]))
-        as_int = GPUExecutor(RADEON_HD_7950, ExecutionConfig()).time_iteration([1, 2])
+        as_int = RunContext().executor(ExecutionConfig()).time_iteration([1, 2])
         assert as_float.cycles == as_int.cycles
 
     def test_nan_traffic_rejected(self, ex):

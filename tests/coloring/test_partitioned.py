@@ -8,8 +8,8 @@ from repro.coloring.partitioned import (
     partition_blocks,
     partitioned_coloring,
 )
+from repro.engine.context import RunContext
 from repro.graphs import generators as gen
-from repro.harness.runner import make_executor
 
 
 class TestPartitionBlocks:
@@ -70,7 +70,7 @@ class TestPartitionedColoring:
 
     def test_single_partition_no_boundary_phase(self):
         g = gen.grid_2d(12, 12)
-        r = partitioned_coloring(g, make_executor(), num_partitions=1, seed=0)
+        r = partitioned_coloring(g, RunContext().executor(), num_partitions=1, seed=0)
         assert r.extras["boundary_fraction"] == 0.0
         assert r.extras["phase2_cycles"] == 0.0
 
@@ -97,14 +97,14 @@ class TestPartitionedColoring:
 
     def test_phase1_is_concurrent_max(self):
         g = gen.grid_2d(30, 30)
-        one = partitioned_coloring(g, make_executor(), num_partitions=1, seed=0)
-        four = partitioned_coloring(g, make_executor(), num_partitions=4, seed=0)
+        one = partitioned_coloring(g, RunContext().executor(), num_partitions=1, seed=0)
+        four = partitioned_coloring(g, RunContext().executor(), num_partitions=4, seed=0)
         assert four.extras["phase1_cycles"] < one.extras["phase1_cycles"]
 
     def test_timed_and_untimed_agree_on_colors(self):
         g = gen.delaunay_mesh(300, seed=4)
         a = partitioned_coloring(g, seed=5)
-        b = partitioned_coloring(g, make_executor(), seed=5)
+        b = partitioned_coloring(g, RunContext().executor(), seed=5)
         assert np.array_equal(a.colors, b.colors)
 
     def test_color_quality_stays_reasonable(self):

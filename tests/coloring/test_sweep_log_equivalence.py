@@ -355,7 +355,7 @@ def traced_pair(device, config):
     for cls in (GPUExecutor, OracleExecutor):
         ctx = RunContext(device=device)
         ring = ctx.enable_tracing(capacity=1 << 20)
-        out.append((cls(device, config, context=ctx), ring))
+        out.append((cls(ctx, config), ring))
     return out
 
 
@@ -587,7 +587,7 @@ def test_workgroups_off_the_wavefront_width(workgroup_size, mapping, schedule):
         chunk_size=2 * workgroup_size,
     )
     with pytest.raises(ValueError, match="multiple of the device wavefront size"):
-        GPUExecutor(RADEON_HD_7950, config)
+        RunContext().executor(config)
     deg = as_degrees(np.array([5, 1, 900, 33, 7, 2, 0, 64, 63] * 40))
     uniform = [uniform_kernel("u", 1000, 12.5, 2000.0), uniform_kernel("v", 70, 3.0)]
     log = [uniform[0], LoggedKernel("a", deg), LoggedKernel("b", deg.copy()), uniform[1]]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.coloring.kernels import ExecutionConfig, GPUExecutor
+from repro.engine.context import RunContext
 from repro.graphs import generators as gen
 from repro.graphs.csr import CSRGraph
 from repro.gpusim.device import RADEON_HD_7950, SMALL_TEST_DEVICE
@@ -52,7 +53,7 @@ def tiny_device():
 @pytest.fixture
 def executor(device) -> GPUExecutor:
     """Baseline engine: thread mapping, grid schedule."""
-    return GPUExecutor(device, ExecutionConfig())
+    return RunContext(device=device).executor(ExecutionConfig())
 
 
 def brute_force_is_valid(graph: CSRGraph, colors: np.ndarray) -> bool:

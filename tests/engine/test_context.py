@@ -1,15 +1,16 @@
-"""RunContext wiring: defaults, executor construction, seed resolution,
-run-level counter aggregation, and the legacy entry-point shims."""
+"""RunContext wiring: defaults, executor construction, device ownership,
+seed resolution, run-level counter aggregation, and seed-less calls."""
 
 import numpy as np
 import pytest
 
-from repro.coloring.kernels import ExecutionConfig, GPUExecutor
+from repro.coloring.kernels import CostModel, ExecutionConfig
 from repro.engine.backend import NumpyBackend
 from repro.engine.context import RunContext, resolve_context
 from repro.graphs.generators import rmat
-from repro.gpusim.device import RADEON_HD_7950, DeviceConfig
-from repro.harness.runner import make_executor, run_gpu_coloring
+from repro.gpusim.device import RADEON_HD_7950, RADEON_R9_290X, DeviceConfig
+from repro.gpusim.memory import MemoryModel
+from repro.harness.runner import run_gpu_coloring
 
 
 class TestDefaults:
@@ -116,21 +117,34 @@ class TestAlgorithmIntegration:
         assert ctx.plans.hits >= before
 
 
-class TestLegacyShims:
-    """The pre-engine entry points must keep working unchanged."""
+class TestDeviceOwnership:
+    """The context owns the device and memory model its executors time on."""
 
-    def test_positional_gpuexecutor_construction(self):
-        ex = GPUExecutor(RADEON_HD_7950, ExecutionConfig(mapping="hybrid"))
-        assert ex.device is RADEON_HD_7950
-        assert isinstance(ex.context, RunContext)
-        t = ex.time_iteration(np.arange(1, 20))
-        assert t.cycles > 0
-
-    def test_make_executor_without_context(self):
+    def test_executor_takes_device_and_memory_from_context(self):
         dev = DeviceConfig(num_cus=4)
-        ex = make_executor(dev, mapping="thread", schedule="dynamic")
+        ctx = RunContext(device=dev)
+        ex = ctx.executor(mapping="thread", schedule="dynamic")
         assert ex.device is dev
-        assert ex.context.device is dev
+        assert ex.memory is ctx.memory
+        assert ex.costs == CostModel(dev, ctx.memory)
+
+    def test_custom_memory_model_reaches_the_executor(self):
+        # off the DRAM roofline, so the per-access charge shows
+        dev = RADEON_HD_7950.with_overrides(dram_bandwidth_gbps=1e5)
+        memory = MemoryModel(dev, coalescing_enabled=False)
+        ex = RunContext(device=dev, memory=memory).executor(mapping="hybrid")
+        assert ex.memory is memory
+        deg = np.full(200, 300)
+        plain = RunContext(device=dev).executor(mapping="hybrid").time_iteration(deg)
+        assert ex.time_iteration(deg).cycles > plain.cycles
+
+    def test_memory_model_for_another_device_rejected(self):
+        with pytest.raises(ValueError, match="different device"):
+            RunContext(device=RADEON_R9_290X, memory=MemoryModel(RADEON_HD_7950))
+
+
+class TestLegacyShims:
+    """Seed-less algorithm calls keep working unchanged."""
 
     def test_seed_zero_default_preserved(self):
         g = rmat(6, seed=8)

@@ -8,7 +8,7 @@ derivation, never the dispatch.
 import numpy as np
 import pytest
 
-from repro.coloring.kernels import CostModel, ExecutionConfig, GPUExecutor
+from repro.coloring.kernels import CostModel, ExecutionConfig
 from repro.engine.context import RunContext
 from repro.engine.plan import (
     ExecutionPlan,
@@ -90,7 +90,7 @@ class TestPlanCache:
 
 class TestExecutorCaching:
     def test_repeated_degrees_hit_the_cache(self):
-        ex = GPUExecutor(DEVICE, ExecutionConfig(mapping="hybrid"))
+        ex = RunContext(device=DEVICE).executor(ExecutionConfig(mapping="hybrid"))
         deg = np.array([1, 2, 300, 4, 5], dtype=np.int64)
         t1 = ex.time_iteration(deg, name="a")
         t2 = ex.time_iteration(deg.copy(), name="b")
@@ -98,7 +98,7 @@ class TestExecutorCaching:
         assert t1.cycles == t2.cycles  # dispatch is deterministic
 
     def test_graph_change_invalidates(self):
-        ex = GPUExecutor(DEVICE)
+        ex = RunContext(device=DEVICE).executor()
         ex.time_iteration(np.array([1, 2, 3]))
         ex.time_iteration(np.array([1, 2, 4]))
         assert ex.plans.misses == 2 and ex.plans.hits == 0
@@ -113,11 +113,11 @@ class TestExecutorCaching:
         assert ctx.plans.misses == 2 and ctx.plans.hits == 0
 
     def test_device_change_invalidates(self):
-        small = DeviceConfig(num_cus=4)
         ctx = RunContext(device=DEVICE)
+        other = RunContext(device=DeviceConfig(num_cus=4), plans=ctx.plans)
         deg = np.arange(1, 100, dtype=np.int64)
         ctx.executor().time_iteration(deg)
-        GPUExecutor(small, context=ctx).time_iteration(deg)
+        other.executor().time_iteration(deg)
         assert ctx.plans.misses == 2
 
     def test_shared_context_shares_plans(self):
@@ -135,8 +135,8 @@ class TestExecutorCaching:
             ExecutionConfig(mapping="hybrid", sort_by_degree=True),
             ExecutionConfig(mapping="thread", schedule="stealing"),
         ):
-            cold = GPUExecutor(DEVICE, cfg).time_iteration(deg)
-            ex = GPUExecutor(DEVICE, cfg)
+            cold = RunContext(device=DEVICE).executor(cfg).time_iteration(deg)
+            ex = RunContext(device=DEVICE).executor(cfg)
             ex.time_iteration(deg)
             warm = ex.time_iteration(deg)
             assert warm.cycles == cold.cycles

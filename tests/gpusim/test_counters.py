@@ -113,11 +113,11 @@ class TestDerived:
 class TestExecutorIntegration:
     def test_counters_populate_over_a_run(self):
         from repro.coloring.maxmin import maxmin_coloring
-        from repro.harness.runner import make_executor
+        from repro.engine.context import RunContext
         from repro.harness.suite import build
 
         g = build("powerlaw", "tiny")
-        ex = make_executor()
+        ex = RunContext().executor()
         r = maxmin_coloring(g, ex)
         assert ex.counters.kernels_launched == r.num_iterations
         assert ex.counters.total_cycles == pytest.approx(r.total_cycles)
@@ -125,22 +125,22 @@ class TestExecutorIntegration:
 
     def test_stealing_counters_populate(self):
         from repro.coloring.maxmin import maxmin_coloring
-        from repro.harness.runner import make_executor
+        from repro.engine.context import RunContext
         from repro.harness.suite import build
 
         g = build("rmat", "small")
-        ex = make_executor(schedule="stealing", chunk_size=256)
+        ex = RunContext().executor(schedule="stealing", chunk_size=256)
         maxmin_coloring(g, ex, max_iterations=3, compact=False)
         # chunks were executed even if no steal succeeded
         assert ex.counters.kernels_launched == 3
 
     def test_reset_between_windows(self):
         from repro.coloring.maxmin import maxmin_coloring
-        from repro.harness.runner import make_executor
+        from repro.engine.context import RunContext
         from repro.harness.suite import build
 
         g = build("road", "tiny")
-        ex = make_executor()
+        ex = RunContext().executor()
         maxmin_coloring(g, ex)
         ex.counters.reset()
         r2 = maxmin_coloring(g, ex)

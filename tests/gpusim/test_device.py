@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.context import RunContext
 from repro.gpusim.device import (
     CPU_8CORE,
     RADEON_HD_7950,
@@ -51,13 +52,12 @@ class TestPresets:
 
     def test_all_presets_run_a_coloring(self):
         from repro.coloring.maxmin import maxmin_coloring
-        from repro.coloring.kernels import ExecutionConfig, GPUExecutor
         from repro.graphs.generators import erdos_renyi
 
         g = erdos_renyi(200, avg_degree=6, seed=0)
         for dev in (RADEON_HD_7950, RADEON_R9_290X, CPU_8CORE, SMALL_TEST_DEVICE):
             wg = dev.max_workgroup_size
-            ex = GPUExecutor(dev, ExecutionConfig(workgroup_size=wg, chunk_size=wg))
+            ex = RunContext(device=dev).executor(workgroup_size=wg, chunk_size=wg)
             maxmin_coloring(g, ex).validate(g)
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.coloring.kernels import ExecutionConfig
 from repro.coloring.maxmin import maxmin_coloring
 from repro.harness.autotune import TuneOutcome, autotune, candidate_configs
-from repro.harness.runner import make_executor
+from repro.engine.context import RunContext
 from repro.harness.suite import build
 
 
@@ -61,21 +61,9 @@ class TestAutotune:
         # the tuned config's full run beats the worst candidate's full run
         g = build("rmat", "small")
         out = autotune(g, seed=0)
-        tuned = maxmin_coloring(g, make_executor(mapping=out.best.mapping,
-                                                 schedule=out.best.schedule,
-                                                 degree_threshold=out.best.degree_threshold,
-                                                 chunk_size=out.best.chunk_size), seed=0)
+        tuned = maxmin_coloring(g, RunContext().executor(out.best), seed=0)
         worst_cfg = max(out.scoreboard, key=lambda t: t[1])[0]
-        worst = maxmin_coloring(
-            g,
-            make_executor(
-                mapping=worst_cfg.mapping,
-                schedule=worst_cfg.schedule,
-                degree_threshold=worst_cfg.degree_threshold,
-                chunk_size=worst_cfg.chunk_size,
-            ),
-            seed=0,
-        )
+        worst = maxmin_coloring(g, RunContext().executor(worst_cfg), seed=0)
         assert tuned.total_cycles <= worst.total_cycles
 
     def test_validation(self):

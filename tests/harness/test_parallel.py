@@ -198,7 +198,7 @@ class TestRunBatchParallel:
         serial = run_batch(jobs, scale="tiny", parallel_jobs=1)
         spawned = run_batch_parallel(
             jobs,
-            device=RADEON_HD_7950,
+            context=RunContext(device=RADEON_HD_7950),
             scale="tiny",
             jobs=2,
             start_method="spawn",

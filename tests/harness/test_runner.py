@@ -2,12 +2,11 @@
 
 import pytest
 
+from repro.engine.context import RunContext
 from repro.gpusim.device import RADEON_HD_7950, SMALL_TEST_DEVICE
 from repro.harness.runner import (
     CPU_ALGORITHMS,
     GPU_ALGORITHMS,
-    baseline_executor,
-    make_executor,
     run_cpu_coloring,
     run_gpu_coloring,
 )
@@ -19,16 +18,15 @@ def graph():
     return build("powerlaw", "tiny")
 
 
-class TestMakeExecutor:
+class TestContextExecutor:
     def test_baseline_config(self):
-        ex = baseline_executor()
+        ex = RunContext().executor()
         assert ex.config.mapping == "thread"
         assert ex.config.schedule == "grid"
         assert ex.device is RADEON_HD_7950
 
     def test_options_forwarded(self):
-        ex = make_executor(
-            SMALL_TEST_DEVICE,
+        ex = RunContext(device=SMALL_TEST_DEVICE).executor(
             mapping="hybrid",
             schedule="stealing",
             workgroup_size=8,
@@ -42,7 +40,7 @@ class TestMakeExecutor:
 class TestRunGpu:
     @pytest.mark.parametrize("algo", sorted(GPU_ALGORITHMS))
     def test_all_algorithms_run_and_validate(self, graph, algo):
-        r = run_gpu_coloring(graph, algo, baseline_executor(), seed=1)
+        r = run_gpu_coloring(graph, algo, RunContext().executor(), seed=1)
         assert r.num_colors > 0
         assert r.total_cycles > 0
 

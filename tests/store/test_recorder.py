@@ -5,8 +5,9 @@ import pickle
 import pytest
 
 from repro.analysis.experiment import ExperimentRecord
+from repro.engine.context import RunContext
 from repro.harness.autotune import autotune
-from repro.harness.runner import baseline_executor, run_gpu_coloring
+from repro.harness.runner import run_gpu_coloring
 from repro.harness.suite import build
 from repro.store import (
     Recorder,
@@ -32,7 +33,7 @@ def recorder(tmp_path):
 
 class TestRecordRun:
     def test_row_matches_result(self, graph, recorder):
-        ex = baseline_executor()
+        ex = RunContext().executor()
         result = run_gpu_coloring(graph, "maxmin", ex, seed=3)
         digest = recorder.record_run(
             graph=graph,
@@ -60,7 +61,7 @@ class TestRecordRun:
         assert g["num_vertices"] == graph.num_vertices
 
     def test_rerun_is_idempotent(self, graph, recorder):
-        ex = baseline_executor()
+        ex = RunContext().executor()
         result = run_gpu_coloring(graph, "maxmin", ex, seed=0)
         for _ in range(2):
             recorder.record_run(
@@ -71,7 +72,7 @@ class TestRecordRun:
 
     def test_with_source_shares_store(self, graph, recorder):
         tagged = recorder.with_source("pipeline:x/y")
-        result = run_gpu_coloring(graph, "jp", baseline_executor(), seed=0)
+        result = run_gpu_coloring(graph, "jp", RunContext().executor(), seed=0)
         tagged.record_run(graph=graph, result=result, seed=0)
         (row,) = recorder.store.runs()
         assert row["source"] == "pipeline:x/y"

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from repro.coloring.kernels import SCHEDULES
+from repro.engine.context import RunContext
 from repro.graphs import generators as gen
 from repro.graphs.csr import CSRGraph
-from repro.harness.runner import GPU_ALGORITHMS, make_executor, run_gpu_coloring
+from repro.harness.runner import GPU_ALGORITHMS, run_gpu_coloring
 
 
 def two_cliques(k: int) -> CSRGraph:
@@ -59,13 +60,13 @@ class TestAlgorithmsSurvive:
 class TestSchedulesSurvive:
     def test_mega_star_timed(self, schedule):
         g = ADVERSARIES["mega_star"]
-        r = run_gpu_coloring(g, "maxmin", make_executor(schedule=schedule), seed=0)
+        r = run_gpu_coloring(g, "maxmin", RunContext().executor(schedule=schedule), seed=0)
         assert np.isfinite(r.total_cycles)
         assert r.total_cycles > 0
 
     def test_all_isolated_near_free(self, schedule):
         g = ADVERSARIES["all_isolated"]
-        r = run_gpu_coloring(g, "maxmin", make_executor(schedule=schedule), seed=0)
+        r = run_gpu_coloring(g, "maxmin", RunContext().executor(schedule=schedule), seed=0)
         # one sweep colors everything: cost ≈ one launch + small kernel
         assert r.num_iterations == 1
         assert r.num_colors == 1
@@ -91,8 +92,8 @@ class TestExpectedStructuralAnswers:
     def test_hybrid_crushes_the_star_kernel(self):
         # the star IS one hub: the cooperative mapping must dominate
         g = ADVERSARIES["mega_star"]
-        thread = make_executor().time_iteration(g.degrees).cycles
-        hybrid = make_executor(mapping="hybrid").time_iteration(g.degrees).cycles
+        thread = RunContext().executor().time_iteration(g.degrees).cycles
+        hybrid = RunContext().executor(mapping="hybrid").time_iteration(g.degrees).cycles
         assert hybrid < 0.25 * thread
 
     def test_distance2_star_all_distinct(self):

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from repro.coloring.kernels import MAPPINGS, SCHEDULES
-from repro.harness.runner import GPU_ALGORITHMS, make_executor, run_gpu_coloring
+from repro.engine.context import RunContext
+from repro.harness.runner import GPU_ALGORITHMS, run_gpu_coloring
 from repro.harness.suite import build
 
 
 def _run(algo, mapping="thread", schedule="grid", seed=7):
     g = build("powerlaw", "tiny")
-    ex = make_executor(mapping=mapping, schedule=schedule)
+    ex = RunContext().executor(mapping=mapping, schedule=schedule)
     return run_gpu_coloring(g, algo, ex, seed=seed), ex
 
 

@@ -82,18 +82,18 @@ class TestGanttFromStealing:
 class TestIterationTimingFields:
     def test_bandwidth_bound_flag_grid(self):
         from repro.gpusim.device import RADEON_HD_7950
-        from repro.harness.runner import make_executor
+        from repro.engine.context import RunContext
 
         starved = RADEON_HD_7950.with_overrides(dram_bandwidth_gbps=0.001)
-        t = make_executor(starved).time_iteration(np.full(5000, 16))
+        t = RunContext(device=starved).executor().time_iteration(np.full(5000, 16))
         assert t.bandwidth_bound
 
     def test_bandwidth_bound_flag_persistent(self):
         from repro.gpusim.device import RADEON_HD_7950
-        from repro.harness.runner import make_executor
+        from repro.engine.context import RunContext
 
         starved = RADEON_HD_7950.with_overrides(dram_bandwidth_gbps=0.001)
-        t = make_executor(starved, schedule="dynamic").time_iteration(
+        t = RunContext(device=starved).executor(schedule="dynamic").time_iteration(
             np.full(5000, 16)
         )
         assert t.bandwidth_bound
