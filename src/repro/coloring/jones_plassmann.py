@@ -14,7 +14,7 @@ import numpy as np
 
 from ..engine.context import RunContext, resolve_context
 from ..graphs.csr import CSRGraph
-from ._nbr import LiveEdges
+from ._nbr import PriorityCounts
 from .base import UNCOLORED, ColoringResult
 from .kernels import GPUExecutor, SweepLog
 from .priorities import make_priorities
@@ -50,19 +50,18 @@ def jones_plassmann_coloring(
     cap = max_iterations if max_iterations is not None else n + 1
 
     uncolored = np.ones(n, dtype=bool)
-    live = LiveEdges(graph)
+    counts = PriorityCounts(graph, priorities)
     k = 0
     while uncolored.any():
         if k >= cap:
             break
         active_ids = np.flatnonzero(uncolored)
-        winners = uncolored & (priorities > live.maximum(priorities))
-        winner_ids = np.flatnonzero(winners)
+        winner_ids = np.flatnonzero(uncolored & (counts.higher == 0))
         # Winners form an independent set among uncolored vertices, so
         # assigning all their first-fit colors at once cannot conflict.
         colors[winner_ids] = backend.first_fit_colors(graph, colors, winner_ids)
         uncolored[winner_ids] = False
-        live.retain(uncolored)
+        counts.retire(winner_ids)
 
         log.sweep(k, active_ids.size, winner_ids.size)
         log.vertices(f"jp_it{k}", degrees, active_ids)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..engine.context import RunContext, resolve_context
 from ..graphs.csr import CSRGraph
-from ._nbr import LiveEdges
+from ._nbr import PriorityCounts
 from .base import UNCOLORED, ColoringResult
 from .kernels import GPUExecutor, SweepLog
 from .priorities import make_priorities
@@ -91,7 +91,7 @@ def maxmin_coloring(
     cap = max_iterations if max_iterations is not None else n + 1
 
     uncolored = np.ones(n, dtype=bool)
-    live = LiveEdges(graph)
+    counts = PriorityCounts(graph, priorities)
     k = 0
     while uncolored.any():
         if k >= cap:
@@ -100,17 +100,18 @@ def maxmin_coloring(
         if active_ids.size < stop_when_active_below:
             break
         # One kernel sweep: every uncolored vertex reads uncolored
-        # neighbors' priorities and tests for local max / local min.
-        nbr_hi, nbr_lo = live.extrema(priorities)
-        is_max = uncolored & (priorities > nbr_hi)
-        is_min = uncolored & (priorities < nbr_lo) & ~is_max
+        # neighbors' priorities and tests for local max / local min
+        # (decided here from the counts of uncolored neighbors above
+        # and below it).
+        is_max = uncolored & (counts.higher == 0)
+        is_min = uncolored & (counts.lower == 0) & ~is_max
         colors[is_max] = 2 * k
         colors[is_min] = 2 * k + 1
-        newly = int(is_max.sum() + is_min.sum())
-        uncolored &= ~(is_max | is_min)
-        live.retain(uncolored)
+        newly = np.flatnonzero(is_max | is_min)
+        uncolored[newly] = False
+        counts.retire(newly)
 
-        log.sweep(k, active_ids.size, newly)
+        log.sweep(k, active_ids.size, newly.size)
         log.vertices(f"maxmin_it{k}", degrees, active_ids)
         k += 1
 

@@ -24,8 +24,9 @@ class ArrayBackend(Protocol):
     """The primitive surface every backend provides.
 
     ``neighbor_reduce`` is the full-adjacency segment reduction (the
-    race-scanner replays use it; the maxmin/edge-centric/jp sweeps reduce
-    over :class:`~repro.coloring._nbr.LiveEdges` instead);
+    race-scanner replays use it; the maxmin/edge-centric/jp sweeps decide
+    local extrema from :class:`~repro.coloring._nbr.PriorityCounts`
+    instead);
     ``first_fit_colors`` is the mex kernel the first-fit algorithms
     share. Implementations must be pure functions of their inputs (no
     hidden state) so results never depend on which backend ran them.

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 
+_INT32_MIN = int(np.iinfo(np.int32).min)
 _INT32_MAX = int(np.iinfo(np.int32).max)
 
 
@@ -75,9 +76,18 @@ def as_degrees(values: np.ndarray) -> np.ndarray:
 
 
 def degrees_fingerprint(degrees: np.ndarray) -> tuple[int, bytes]:
-    """Content fingerprint of a degree array (size + blake2b digest)."""
-    deg = np.ascontiguousarray(degrees, dtype=np.int64)
-    return deg.size, hashlib.blake2b(deg.tobytes(), digest_size=16).digest()
+    """Content fingerprint of a degree array (size + blake2b digest).
+
+    Value-based: equal values fingerprint equal whatever the integer
+    dtype. Values that fit int32 are hashed as int32 bytes (an int32
+    array in place, with no copy); wider values as int64 bytes.
+    """
+    deg = np.ascontiguousarray(degrees)
+    if deg.dtype != np.int32:
+        deg = deg.astype(np.int64, copy=False)
+        if deg.size == 0 or (deg.min() >= _INT32_MIN and deg.max() <= _INT32_MAX):
+            deg = deg.astype(np.int32)
+    return deg.size, hashlib.blake2b(deg, digest_size=16).digest()
 
 
 def coop_efficiency(degrees: np.ndarray, lanes: int) -> float:

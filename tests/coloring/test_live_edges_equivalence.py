@@ -1,8 +1,9 @@
-"""Per-sweep equivalence of the live-edge sweeps with full-graph reductions.
+"""Per-sweep equivalence of the neighbor-count sweeps with full-graph reductions.
 
-maxmin, edge-centric and jp reduce only over edges whose two endpoints
-are still uncolored (``LiveEdges``); hybrid-switch inherits that through
-maxmin. The reference loops here are the plain full-adjacency form of
+maxmin, edge-centric and jp decide local extrema from per-vertex counts
+of uncolored neighbors above and below each priority
+(``PriorityCounts``), never reducing a row; hybrid-switch inherits that
+through maxmin. The reference loops here are the plain full-adjacency form of
 the same algorithms: priorities of colored vertices masked to the
 reduction's identity, ``neighbor_max``/``neighbor_min`` over every edge.
 Colors, every sweep's record (counts, cycles, SIMD efficiency, kernel

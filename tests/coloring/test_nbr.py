@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.coloring._nbr import (
-    LiveEdges,
+    PriorityCounts,
     first_fit_colors,
     neighbor_max,
     neighbor_min,
@@ -82,80 +82,93 @@ class TestNeighborReduce:
 
 
 @st.composite
-def graphs_values_masks(draw, max_vertices=30, max_edges=90):
-    """A random graph, per-vertex values, and a shrinking uncolored-mask sequence."""
+def graphs_priorities_batches(draw, max_vertices=30, max_edges=90):
+    """A random graph, tie-heavy priorities, and a sequence of retire batches.
+
+    Priorities come from a small integer set so ties occur. A batch is
+    any set of vertices, so it may repeat ids retired by an earlier
+    batch or hold vertices whose neighbors are all retired already.
+    """
     n = draw(st.integers(1, max_vertices))
     m = draw(st.integers(0, max_edges))
     u = draw(arrays(np.int64, m, elements=st.integers(0, n - 1)))
     v = draw(arrays(np.int64, m, elements=st.integers(0, n - 1)))
-    values = draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
-    masks = draw(st.lists(arrays(np.bool_, n), max_size=5))
-    return CSRGraph.from_edges(u, v, num_vertices=n), values, masks
+    priorities = draw(arrays(np.float64, n, elements=st.integers(0, 3).map(float)))
+    batches = draw(st.lists(st.sets(st.integers(0, n - 1)).map(sorted), max_size=6))
+    return CSRGraph.from_edges(u, v, num_vertices=n), priorities, batches
 
 
-def assert_matches_masked(live, graph, values, uncolored):
-    """Live reductions equal the masked full-graph ones on uncolored rows."""
-    hi, lo = live.extrema(values)
-    ref_hi = neighbor_max(graph, np.where(uncolored, values, -np.inf))
-    ref_lo = neighbor_min(graph, np.where(uncolored, values, np.inf))
-    assert np.array_equal(hi[uncolored], ref_hi[uncolored])
-    assert np.array_equal(lo[uncolored], ref_lo[uncolored])
-    assert np.array_equal(live.maximum(values), hi)
-    # colored rows lost every live edge: they get the identity
-    assert np.all(hi[~uncolored] == -np.inf) and np.all(lo[~uncolored] == np.inf)
+def brute_counts(graph, priorities, uncolored):
+    """Per vertex: uncolored neighbors with priority >= and <= its own."""
+    higher = np.zeros(graph.num_vertices, dtype=np.int64)
+    lower = np.zeros(graph.num_vertices, dtype=np.int64)
+    for v in range(graph.num_vertices):
+        nbrs = graph.neighbors(v)
+        p = priorities[nbrs[uncolored[nbrs]]]
+        higher[v] = int((p >= priorities[v]).sum())
+        lower[v] = int((p <= priorities[v]).sum())
+    return higher, lower
 
 
-class TestLiveEdges:
-    @given(graphs_values_masks())
-    @settings(max_examples=80, deadline=None)
-    def test_matches_masked_full_reduction(self, data):
-        g, values, masks = data
-        live = LiveEdges(g)
+def assert_counts_exact(counts, graph, priorities, uncolored):
+    """Counts equal brute force everywhere and decide masked extrema."""
+    higher, lower = brute_counts(graph, priorities, uncolored)
+    # exact on every row, colored rows included
+    assert np.array_equal(counts.higher, higher)
+    assert np.array_equal(counts.lower, lower)
+    nbr_hi = neighbor_max(graph, np.where(uncolored, priorities, -np.inf))
+    nbr_lo = neighbor_min(graph, np.where(uncolored, priorities, np.inf))
+    is_max, is_min = counts.higher == 0, counts.lower == 0
+    assert np.array_equal(is_max[uncolored], (priorities > nbr_hi)[uncolored])
+    assert np.array_equal(is_min[uncolored], (priorities < nbr_lo)[uncolored])
+
+
+class TestPriorityCounts:
+    @given(graphs_priorities_batches())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_brute_force_after_every_batch(self, data):
+        g, priorities, batches = data
+        counts = PriorityCounts(g, priorities)
         uncolored = np.ones(g.num_vertices, dtype=bool)
-        assert_matches_masked(live, g, values, uncolored)
-        for mask in masks:
-            uncolored &= mask  # vertices only ever get colored
-            live.retain(uncolored)
-            owner = np.repeat(np.arange(g.num_vertices), g.degrees)
-            assert live.num_edges == int((uncolored[owner] & uncolored[g.indices]).sum())
-            assert_matches_masked(live, g, values, uncolored)
+        assert_counts_exact(counts, g, priorities, uncolored)
+        for batch in batches:
+            ids = np.array(batch, dtype=np.int64)
+            uncolored[ids] = False  # vertices only ever get colored
+            counts.retire(ids)
+            assert_counts_exact(counts, g, priorities, uncolored)
+
+    def test_ties_count_on_both_sides(self):
+        g = gen.path(3)
+        counts = PriorityCounts(g, np.array([1.0, 1.0, 0.0]))
+        assert counts.higher.tolist() == [1, 1, 1]
+        assert counts.lower.tolist() == [1, 2, 0]
 
     def test_edgeless_graph(self):
-        live = LiveEdges(CSRGraph.empty(4))
-        hi, lo = live.extrema(np.arange(4.0))
-        assert np.all(hi == -np.inf) and np.all(lo == np.inf)
-        assert live.num_edges == 0
-        live.retain(np.array([True, False, True, False]))
-        assert np.all(live.maximum(np.arange(4.0)) == -np.inf)
+        counts = PriorityCounts(CSRGraph.empty(4), np.arange(4.0))
+        assert np.all(counts.higher == 0) and np.all(counts.lower == 0)
+        counts.retire(np.array([0, 2]))
+        counts.retire(np.array([], dtype=np.int64))
+        assert np.all(counts.higher == 0) and np.all(counts.lower == 0)
 
-    def test_all_vertices_colored(self):
-        g = gen.rmat(6, edge_factor=4, seed=2)
-        live = LiveEdges(g)
-        live.retain(np.zeros(g.num_vertices, dtype=bool))
-        assert live.num_edges == 0
-        hi, lo = live.extrema(np.arange(g.num_vertices, dtype=float))
-        assert np.all(hi == -np.inf) and np.all(lo == np.inf)
-
-    def test_trailing_isolated_rows(self):
-        # reduceat's empty-segment quirk lives at the array end — cover it
+    def test_isolated_vertices_are_extrema(self):
         g = CSRGraph.from_edges([0, 1], [1, 2], num_vertices=6)
-        hi, lo = LiveEdges(g).extrema(np.arange(6.0))
-        assert hi.tolist() == [1.0, 2.0, 1.0, -np.inf, -np.inf, -np.inf]
-        assert lo.tolist() == [1.0, 0.0, 1.0, np.inf, np.inf, np.inf]
+        counts = PriorityCounts(g, np.arange(6.0))
+        assert counts.higher.tolist() == [1, 1, 0, 0, 0, 0]
+        assert counts.lower.tolist() == [0, 1, 1, 0, 0, 0]
 
-    def test_row_with_all_neighbors_colored(self):
+    def test_all_vertices_retired(self):
+        g = gen.rmat(6, edge_factor=4, seed=2)
+        counts = PriorityCounts(g, np.arange(g.num_vertices, dtype=float))
+        counts.retire(np.arange(g.num_vertices))
+        assert np.all(counts.higher == 0) and np.all(counts.lower == 0)
+
+    def test_row_with_all_neighbors_retired(self):
         g = gen.star(3)  # hub 0, leaves 1..3
-        live = LiveEdges(g)
-        live.retain(np.array([True, False, False, False]))
-        hi, lo = live.extrema(np.array([5.0, 9.0, 1.0, 7.0]))
-        assert hi[0] == -np.inf and lo[0] == np.inf
-        assert live.num_edges == 0
-
-    def test_arrays_are_int32(self):
-        g = gen.rmat(6, edge_factor=4, seed=1)
-        live = LiveEdges(g)
-        live.retain(np.arange(g.num_vertices) % 3 > 0)
-        assert live._src.dtype == np.int32 and live._dst.dtype == np.int32
+        counts = PriorityCounts(g, np.array([5.0, 9.0, 1.0, 7.0]))
+        assert (counts.higher[0], counts.lower[0]) == (2, 1)
+        counts.retire(np.array([1, 2, 3]))
+        counts.retire(np.array([2, 3]))  # already retired: no effect
+        assert (counts.higher[0], counts.lower[0]) == (0, 0)
 
 
 class TestFirstFitColors:

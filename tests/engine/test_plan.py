@@ -47,6 +47,18 @@ class TestFingerprint:
             np.array([1, 1])
         )
 
+    def test_fingerprint_is_value_based_across_int_widths(self):
+        a = np.array([3, 0, 2**31 - 1], dtype=np.int32)
+        assert degrees_fingerprint(a) == degrees_fingerprint(a.astype(np.int64))
+        empty = np.empty(0, dtype=np.int32)
+        assert degrees_fingerprint(empty) == degrees_fingerprint(empty.astype(np.int64))
+
+    def test_wide_values_are_not_truncated(self):
+        # 2**32 wraps to 0 in int32: a blind cast would collide the two
+        wide = np.array([1, 2**32], dtype=np.int64)
+        wrapped = np.array([1, 0], dtype=np.int32)
+        assert degrees_fingerprint(wide) != degrees_fingerprint(wrapped)
+
 
 class TestPlanCache:
     def test_miss_then_hit(self):
