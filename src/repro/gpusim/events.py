@@ -6,7 +6,7 @@ action (pop own deque, fetch, go idle) depends on the *global* state at
 the moment it becomes free. :class:`EventSimulator` provides the usual
 time-ordered callback queue with deterministic tie-breaking (insertion
 order at equal timestamps). The work-donation runtime builds on it; work
-stealing keeps the same event order in its own two-phase loop.
+stealing keeps the same event order in its own loop over drain events.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..gpusim.events import EventSimulator
 from ..gpusim.trace import Timeline
-from .workstealing import StealingResult, as_chunk_costs
+from .workstealing import StealingResult, as_chunk_costs, check_overheads
 
 if TYPE_CHECKING:
     from ..obs.tracer import Tracer
@@ -51,8 +51,10 @@ class DonationConfig:
             raise ValueError("num_workers must be positive")
         if self.donate_threshold < 1:
             raise ValueError("donate_threshold must be >= 1")
-        if min(self.donate_cycles, self.fetch_cycles, self.pop_cycles, self.retry_cycles) < 0:
-            raise ValueError("overhead cycles must be non-negative")
+        check_overheads(
+            (self.donate_cycles, self.fetch_cycles, self.pop_cycles, self.retry_cycles),
+            self.max_failed_attempts,
+        )
 
 
 def simulate_work_donation(

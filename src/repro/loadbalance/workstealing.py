@@ -12,20 +12,23 @@ steals via atomic CAS on the queue ends) is simulated as follows:
   ``steal_cycles`` per attempt whether or not it succeeds.
 * A worker retires when every deque is empty.
 
-Steals are rare next to local pops, so the simulation runs in two
-phases. Until some worker first finds its own deque empty, every event
-is an independent pop; those are applied in bulk with NumPy. The rest
-runs one event at a time in a heap loop. Events at equal times fire in
-scheduling order and the victim RNG is seeded, so every run is exactly
-reproducible.
+Steals are rare next to local pops, and a worker's own pops follow a
+fixed timeline that one sequential ``np.add.accumulate`` computes. A
+steal only cuts chunks off the far end of the victim's timeline and
+starts the thief on a new one, so the simulation visits only the
+moments a worker finds its deque empty and reads the deque sizes there
+off the timelines. Events at equal times fire in scheduling order and
+the victim RNG is seeded, so every run is exactly reproducible.
 """
 
 from __future__ import annotations
 
-import heapq
+import bisect
+import functools
 import math
-from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,19 +39,24 @@ if TYPE_CHECKING:
     from ..obs.tracer import Tracer
 
 __all__ = [
-    "StealingConfig",
-    "StealingResult",
-    "simulate_work_stealing",
-    "simulate_static_persistent",
+    "StealingConfig", "StealingResult", "simulate_work_stealing", "simulate_static_persistent"
 ]
 
 
 def as_chunk_costs(chunk_cycles: np.ndarray) -> np.ndarray:
     """``chunk_cycles`` as a flat float64 array of finite, non-negative costs."""
     costs = np.asarray(chunk_cycles, dtype=np.float64).ravel()
-    if costs.size and not (np.isfinite(costs).all() and costs.min() >= 0):
+    if costs.size and not (costs.min() >= 0 and costs.max() < math.inf):  # NaN fails too
         raise ValueError("chunk costs must be finite and non-negative")
     return costs
+
+
+def check_overheads(cycles: tuple[float, ...], max_failed_attempts: int) -> None:
+    """Reject a runtime config's non-finite or negative overheads, or no attempts."""
+    if not all(math.isfinite(c) and c >= 0 for c in cycles):
+        raise ValueError("overhead cycles must be finite and non-negative")
+    if max_failed_attempts < 1:
+        raise ValueError("max_failed_attempts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -77,12 +85,7 @@ class StealingConfig:
             raise ValueError("steal_policy must be 'random' or 'richest'")
         if not 0.0 < self.steal_fraction <= 1.0:
             raise ValueError("steal_fraction must be in (0, 1]")
-        if not all(
-            math.isfinite(c) and c >= 0 for c in (self.steal_cycles, self.pop_cycles)
-        ):
-            raise ValueError("overhead cycles must be finite and non-negative")
-        if self.max_failed_attempts < 1:
-            raise ValueError("max_failed_attempts must be >= 1")
+        check_overheads((self.steal_cycles, self.pop_cycles), self.max_failed_attempts)
 
 
 @dataclass
@@ -145,130 +148,70 @@ def simulate_static_persistent(
     np.add.at(count, who, 1)
     overhead = count * pop_cycles
     makespan = float((busy + overhead).max()) if num_workers else 0.0
-    return StealingResult(
-        makespan_cycles=makespan,
-        busy_cycles=busy,
-        overhead_cycles=overhead.astype(np.float64),
-        chunks_executed=count,
-        steal_attempts=0,
-        steals_succeeded=0,
-        chunks_migrated=0,
-    )
+    return StealingResult(makespan, busy, overhead.astype(np.float64), count, 0, 0, 0)
 
 
-@dataclass
-class _FastForward:
-    """State after phase 1: what the event loop picks up from."""
-
-    deques: list[deque[int]]  # each worker's chunks not yet popped
-    popped: np.ndarray  # pops applied per worker
-    busy: np.ndarray
-    overhead: np.ndarray
-    makespan: float
-    pending: list[tuple[float, int]]  # (time, worker), in firing order
+def _event_bound(n: int, w: int, max_failed: int) -> int:
+    """The most events a run can take: ``n`` chunk starts, ``max_failed`` failed attempts
+    after each of the ``n + w`` timelines (one per worker and steal), ``w`` retirements."""
+    return n + (n + w) * max_failed + w
 
 
-def _fast_forward(
-    costs: np.ndarray,
-    who: np.ndarray,
-    w: int,
-    pop: float,
-    timeline: Timeline | None,
-) -> _FastForward:
-    """Phase 1: apply every event before the first possible steal.
+def _own_timelines(
+    costs: np.ndarray, who: np.ndarray, w: int, pop: float
+) -> tuple[np.ndarray, ...]:
+    """Each worker's run through its own deque, popped bottom-first.
 
-    Worker ``k`` pops its own deque bottom-first. Its step times are
-    ``s_0 = 0`` and ``s_{j+1} = (s_j + pop) + cost_j``, and at
-    ``s_{count_k}`` it finds the deque empty. No deque changes hands
-    before ``H``, the earliest such drain time, so every event before
-    ``H`` is an independent pop. All step times come from one row-wise
-    ``np.add.accumulate`` over ``[0, pop, cost, pop, cost, ...]``,
-    which adds in sequence, so each time and each per-worker sum is
-    bit-identical to the event loop's running additions.
+    Worker ``k``'s ``j``-th pop takes chunk ``order[ends[k] - 1 - j]``
+    (``ends = cumsum(counts)``) of cost ``mine[k, j]``. Row ``k`` of the
+    steps accumulates ``[0, pop, mine[k, 0], pop, ...]``: column ``2j`` is
+    the time of that pop (or, past the last one, of finding the deque
+    empty), column ``2j + 1`` the chunk's start. Row ``k`` of ``spent``
+    accumulates ``[0, mine[k, 0], ...]``, its last row ``[0, pop, pop,
+    ...]``. ``np.add.accumulate`` adds in sequence, so every entry is
+    bit-identical to an event loop's running sum. The executor's
+    contiguous slabs fill the rows by a reshape, other owners by a scatter.
     """
-    order = np.argsort(who, kind="stable")
-    counts = np.bincount(who, minlength=w)
-    first = np.cumsum(counts) - counts
-    ff = _FastForward(
-        deques=[],
-        popped=np.zeros(w, dtype=np.int64),
-        busy=np.zeros(w),
-        overhead=np.zeros(w),
-        makespan=0.0,
-        pending=[(0.0, k) for k in range(w)],  # roots fire in worker order
-    )
-    # An empty worker tries to steal at 0.0: then H = 0, nothing to apply.
-    if counts.min() > 0:
-        m = int(counts.max())
-        rows = np.arange(w)
-        mine = who[order]
-        rank = counts[mine] - 1 - (np.arange(who.size) - first[mine])  # pop order
-        steps = np.zeros((w, 2 * m + 1))
-        steps[:, 1::2] = pop
-        steps[mine, 2 * rank + 2] = costs[order]
-        steps = np.add.accumulate(steps, axis=1)
-        times = steps[:, ::2]  # s_0 .. s_m; past count_k, times only grow
-        horizon = times[rows, counts].min()
-        ff.popped = popped = (times < horizon).sum(axis=1)
-
-        spent = np.zeros((w, m + 1))
-        spent[mine, rank + 1] = costs[order]
-        ff.busy = np.add.accumulate(spent, axis=1)[rows, popped]
-        ff.overhead = np.add.accumulate(np.r_[0.0, np.full(m, pop)])[popped]
-        now = times[rows, popped]  # each worker's pending event
-        ff.makespan = float(now.max())
-        if timeline is not None:
-            chunk_at = np.zeros((w, m), dtype=np.int64)
-            chunk_at[mine, rank] = order
-            k, j = np.nonzero(np.arange(m) < popped[:, None])
-            timeline.record_batch(
-                k,
-                steps[k, 2 * j + 1],
-                steps[k, 2 * j + 2],
-                [f"chunk{c}" for c in chunk_at[k, j].tolist()],
-            )
-
-        firing = np.argsort(now, kind="stable")
-        at = now[firing]
-        cuts = np.flatnonzero(at[1:] != at[:-1]) + 1
-        for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), w]):
-            if b - a > 1:
-                firing[a:b] = _tie_order(times, popped, firing[a:b], w)
-        ff.pending = list(zip(at.tolist(), firing.tolist()))
-
-    ff.deques = [
-        deque(order[f : f + c - p].tolist())
-        for f, c, p in zip(first, counts, ff.popped)
-    ]
-    return ff
+    n = costs.size
+    per = -(-n // w)
+    q, r = divmod(n, per)  # q full slabs, then one of r chunks
+    slab = (who[: n - r].reshape(q, per) == np.arange(q)[:, None]).all()
+    if slab and (who[n - r :] == q).all():
+        flat = np.zeros(w * per)
+        flat[: n - r] = costs[: n - r]
+        flat[(q + 1) * per - r : (q + 1) * per] = costs[n - r :]  # reversed: popped first
+        mine, order = flat.reshape(w, per)[:, ::-1], np.arange(n)
+        counts = np.minimum(np.maximum(n - per * np.arange(w), 0), per)
+    else:
+        order, counts = np.argsort(who, kind="stable"), np.bincount(who, minlength=w)
+        mine = np.zeros((w, int(counts.max())))
+        mine[who[order], np.cumsum(counts)[who[order]] - 1 - np.arange(n)] = costs[order]
+    m = mine.shape[1]
+    steps = np.full((w, 2 * m + 1), pop)
+    steps[:, 0], steps[:, 2::2] = 0.0, mine
+    spent = np.zeros((w + 1, m + 1))
+    spent[:w, 1:], spent[w, 1:] = mine, pop
+    np.add.accumulate(steps, axis=1, out=steps)
+    return steps, np.add.accumulate(spent, axis=1), mine, order, counts
 
 
-def _tie_order(
-    times: np.ndarray, popped: np.ndarray, tied: np.ndarray, w: int
-) -> np.ndarray:
-    """Workers ``tied`` at one pending time, in the order their events fire.
+@functools.lru_cache(maxsize=64)
+def _first_draws(seed: int, w: int) -> tuple[int, ...]:
+    return tuple(np.random.default_rng(seed).integers(0, w - 1, size=64).tolist())
 
-    Equal times fire in scheduling order, and a worker's pending event
-    was scheduled when its previous step fired. So the order compares
-    each worker's step times backwards, down to its root event at 0.0;
-    the root events fired in worker order (marked ``k - w``, below any
-    time).
-    """
-    e = popped[tied]
-    back = e[:, None] - np.arange(int(e.max()) + 2)
-    chains = np.where(
-        back >= 0, times[tied[:, None], np.maximum(back, 0)], (tied - w)[:, None]
-    )
-    chains = chains[:, (chains != chains[0]).any(axis=0)]  # equal columns never decide
-    return tied[np.lexsort(chains.T[::-1])]
+
+def _victim_draws(seed: int, w: int) -> Iterator[int]:
+    """The random policy's victim draws, ``rng.integers(0, w - 1)`` each (NumPy
+    fills a block from the same stream as one draw at a time)."""
+    yield from _first_draws(seed, w)  # cached: seeding costs more than most runs draw
+    rng = np.random.default_rng(seed)
+    rng.integers(0, w - 1, size=64)  # past the cached block
+    while True:
+        yield from rng.integers(0, w - 1, size=64).tolist()
 
 
 def _one_chunk_each(
-    costs: np.ndarray,
-    who: np.ndarray,
-    w: int,
-    pop: float,
-    timeline: Timeline | None,
+    costs: np.ndarray, who: np.ndarray, w: int, pop: float, timeline: Timeline | None
 ) -> StealingResult:
     """The run when workers ``0..n-1`` own one chunk each and the rest none.
 
@@ -280,33 +223,17 @@ def _one_chunk_each(
     end times ``(0.0 + pop) + cost``.
     """
     n = costs.size
-    busy = np.zeros(w)
-    overhead = np.zeros(w)
-    executed = np.zeros(w, dtype=np.int64)
-    busy[who] = 0.0 + costs
-    overhead[:n] = 0.0 + pop
-    executed[:n] = 1
+    busy, overhead, executed = np.zeros(w), np.zeros(w), np.zeros(w, dtype=np.int64)
+    busy[who], overhead[:n], executed[:n] = 0.0 + costs, 0.0 + pop, 1
     ends = (0.0 + pop) + costs
     makespan = ends.max() if n else 0.0
     if timeline is not None and n:
         chunk_of = np.empty(n, dtype=np.int64)
         chunk_of[who] = np.arange(n)
-        timeline.record_batch(
-            np.arange(n),
-            np.full(n, 0.0 + pop),
-            ends[chunk_of],
-            [f"chunk{c}" for c in chunk_of.tolist()],
-        )
-    return StealingResult(
-        makespan_cycles=np.float64(makespan) if makespan > 0 else 0.0,
-        busy_cycles=busy,
-        overhead_cycles=overhead,
-        chunks_executed=executed,
-        steal_attempts=0,
-        steals_succeeded=0,
-        chunks_migrated=0,
-        timeline=timeline,
-    )
+        tags = [f"chunk{c}" for c in chunk_of.tolist()]
+        timeline.record_batch(np.arange(n), np.full(n, 0.0 + pop), ends[chunk_of], tags)
+    makespan = np.float64(makespan) if makespan > 0 else 0.0
+    return StealingResult(makespan, busy, overhead, executed, 0, 0, 0, timeline)
 
 
 def simulate_work_stealing(
@@ -321,146 +248,219 @@ def simulate_work_stealing(
 
     ``chunk_cycles[i]`` is the execution cost of chunk ``i`` (already
     wavefront-aggregated by the caller); ``owner[i]`` its initial worker.
+    When workers ``0..n-1`` own one chunk each, no steal can happen and
+    :func:`_one_chunk_each` returns the run directly. Otherwise every
+    worker starts on its own timeline (:func:`_own_timelines`), and the
+    loop visits only the events at which a worker finds its deque empty
+    and retires, gives up or makes a steal attempt, reading the deque
+    sizes there off the timelines by binary search. Equal times fire in
+    scheduling order, so the schedule, the float sums and the victim
+    draws are those of a one-event-at-a-time loop.
 
-    When workers ``0..n-1`` own one chunk each (``owner`` a permutation
-    of ``range(n)``, ``n <= num_workers``), no steal can ever happen and
-    :func:`_one_chunk_each` returns the run directly. Otherwise phase 1
-    (:func:`_fast_forward`) bulk-applies every pop that happens before
-    the first possible steal. Phase 2 runs the rest as one heap
-    loop over ``(time, seq, worker)`` events, one pending event per
-    worker. Equal times fire in scheduling order (``seq``), so the
-    schedule, the float sums and the victim RNG draws are those of a
-    one-event-at-a-time simulation.
-
-    When a :class:`~repro.obs.tracer.Tracer` is attached, every steal
-    attempt lands in the sink as an instant at its simulated time —
-    ``"steal"`` (with thief/victim/migrated chunk count) on success,
-    ``"steal-fail"`` otherwise — nested inside the kernel event the
-    executor emits afterwards. Tracing never touches the victim RNG or
-    the event order, so traced and untraced runs are cycle-identical.
+    With a :class:`~repro.obs.tracer.Tracer` attached, every attempt
+    lands in the sink as an instant at its simulated time, ``"steal"``
+    (thief, victim, chunks taken) or ``"steal-fail"``, nested inside the
+    kernel event the executor emits afterwards. Tracing never touches
+    the victim draws or the event order.
     """
     costs = as_chunk_costs(chunk_cycles)
     who = np.asarray(owner, dtype=np.int64).ravel()
     if costs.shape != who.shape:
         raise ValueError("chunk_cycles and owner must align")
-    w = config.num_workers
-    if who.size and (who.min() < 0 or who.max() >= w):
-        raise ValueError("owner out of range")
+    w, n, inf = config.num_workers, costs.size, math.inf
     pop, steal = float(config.pop_cycles), float(config.steal_cycles)
-    fraction, max_failed = config.steal_fraction, config.max_failed_attempts
-    richest = config.steal_policy == "richest"
-
     timeline = Timeline(w) if record_timeline else None
-    if costs.size <= w and np.array_equal(np.sort(who), np.arange(costs.size)):
+    if n <= w and sorted(who.tolist()) == list(range(n)):
         return _one_chunk_each(costs, who, w, pop, timeline)
-    rng = np.random.default_rng(config.seed)
-    ff = _fast_forward(costs, who, w, pop, timeline)
+    if n and (who.min() < 0 or who.max() >= w):
+        raise ValueError("owner out of range")
+    max_failed, richest = config.max_failed_attempts, config.steal_policy == "richest"
+    steps, spent, mine, chunk_of, counts = _own_timelines(costs, who, w, pop)
+    rows, ends = np.arange(w), np.cumsum(counts).tolist()
 
-    deques = ff.deques
-    busy = ff.busy.tolist()
-    overhead = ff.overhead.tolist()
-    executed = ff.popped.tolist()
-    failed = [0] * w
-    remaining = costs.size - int(ff.popped.sum())
-    makespan = ff.makespan
-    attempts = hits = migrated = 0
-    cost_of = costs.tolist()
+    # Worker k's events from index first[k] on happen at cur[k], its
+    # earlier ones at past[k]. It pops its deque at the first planned[k]
+    # of them, the last one at last[k], and finds it empty at the next,
+    # nxt[k]. A thief's timeline is line[k] = (steps, busy and pop-cycle
+    # rows, the chunks it took, their costs); ran[k] counts the chunks it ran
+    # off its own deque, once it ran dry. done[k] = (index, rank in the
+    # visiting order) of its last visited event; roots rank first.
+    times = steps[:, ::2]
+    cur, past, first = list(times), [[] for _ in range(w)], [0] * w
+    planned, ran, line = counts.tolist(), [-1] * w, [None] * w
+    nxt = times[rows, counts].tolist()
+    last = np.where(counts > 0, times[rows, counts - 1], -inf).tolist()
+    done = [(-1, k - w) for k in range(w)]
+    busy, over, executed, failed = [0.0] * w, [0.0] * w, [0] * w, [0] * w
+    runs: list[int] = []  # own timelines: chunks popped before the cost first changes
+    makespan, attempts, hits, migrated, events = 0.0, 0, 0, 0, 0
+    bound, draws = _event_bound(n, w, max_failed), _victim_draws(config.seed, w)
 
-    heap = [(t, seq, me) for seq, (t, me) in enumerate(ff.pending)]
-    seq = w
-    processed = costs.size - remaining  # phase 1 events count too
-    max_events = 50 * max(1, costs.size) + 200 * w * max_failed
-    while heap:
-        if processed >= max_events:
-            break  # runaway guard
-        now, _, me = heap[0]
-        processed += 1
-        dq = deques[me]
-        if dq:
-            # Pop own bottom: run one chunk.
-            chunk = dq.pop()
-            overhead[me] += pop
-            start = now + pop
-        elif remaining == 0:
-            heapq.heappop(heap)  # retire: nothing left anywhere
-            continue
-        else:
-            if richest:
-                sizes = [len(d) for d in deques]
-                sizes[me] = -1
-                victim = max(range(w), key=sizes.__getitem__)  # first richest
-                if sizes[victim] <= 0:
-                    victim = None
-            else:
-                victim = int(rng.integers(0, w - 1))
-                if victim >= me:
-                    victim += 1
-            attempts += 1
-            overhead[me] += steal
-            when = now + steal
-            vdq = deques[victim] if victim is not None else None
-            if not vdq:
-                failed[me] += 1
-                if tracer is not None:
-                    tracer.sim_instant(
-                        "steal-fail",
-                        cat="steal",
-                        at=when,
-                        track=1 + me,
-                        thief=me,
-                        victim=-1 if victim is None else victim,
-                    )
-                if failed[me] >= max_failed:
-                    heapq.heappop(heap)  # give up; stragglers finish without it
-                else:
-                    heapq.heapreplace(heap, (when, seq, me))
-                    seq += 1
-                continue
-            take = max(1, math.ceil(len(vdq) * fraction))
-            stolen = [vdq.popleft() for _ in range(take)]  # victim's top (FIFO end)
-            hits += 1
-            migrated += take
-            if timeline is not None:
-                timeline.record(me, now, when, f"steal<{victim}")
-            if tracer is not None:
-                tracer.sim_instant(
-                    "steal",
-                    cat="steal",
-                    at=when,
-                    track=1 + me,
-                    thief=me,
-                    victim=victim,
-                    chunks=take,
-                )
-            # The thief takes one stolen chunk into its hands immediately
-            # (it cannot be re-stolen) and queues the rest — this is what
-            # guarantees progress: every successful steal executes work.
-            dq.extendleft(stolen[1:])
-            chunk = stolen[0]
-            overhead[me] += pop
-            start = when + pop
-        remaining -= 1
-        cost = cost_of[chunk]
-        end = start + cost
-        busy[me] += cost
-        executed[me] += 1
-        failed[me] = 0
-        if end > makespan:
-            makespan = end
+    def lockstep(a: int, b: int, i: int) -> bool:
+        """Whether own timelines ``a`` and ``b`` open on ``i`` chunks of one cost."""
+        if not runs:
+            same = mine == mine[:, :1]
+            runs.extend(np.where(same.all(axis=1), same.shape[1], same.argmin(axis=1)).tolist())
+        return i <= runs[a] and i <= runs[b] and mine[a, 0] == mine[b, 0]
+
+    def before(a: int, i: int, b: int, j: int) -> bool:
+        """Whether event ``i`` of worker ``a`` fires before event ``j`` of ``b``.
+
+        The two are at one time. Equal times fire in scheduling order,
+        and an event is scheduled when its worker's previous one fires,
+        so the order compares the two histories backwards to the most
+        recent difference; root events fired in worker order.
+        """
+        (da, ra), (db, rb) = done[a], done[b]
+        if da == i - 1 and db == j - 1:
+            return ra < rb  # both scheduled by visited events
+        if i == j and not first[a] and not first[b] and lockstep(a, b, i):
+            return a < b
+        n = min(i, j) + 1
+        xs = np.concatenate([*past[a], cur[a][: i - first[a] + 1]])[i + 1 - n :]
+        ys = np.concatenate([*past[b], cur[b][: j - first[b] + 1]])[j + 1 - n :]
+        diff = (xs != ys).nonzero()[0]
+        if diff.size:
+            return bool(xs[diff[-1]] < ys[diff[-1]])
+        return (i, a) < (j, b)  # the shorter history reached its root first
+
+    @functools.cmp_to_key
+    def order(x: int, y: int) -> int:
+        return -1 if before(x, first[x] + planned[x], y, first[y] + planned[y]) else 1
+
+    def queued(b: int, t: float, a: int, i: int) -> int:
+        """Chunks in ``b``'s deque when event ``i`` of ``a`` fires at ``t``."""
+        if last[b] < t:
+            return 0
+        h, hi = cur[b], planned[b]
+        j = bisect.bisect_left(h, t, 0, hi)  # pops before t have fired
+        if j < hi and h[j] == t:  # of the pops at t, a prefix fires first
+            top = bisect.bisect_right(h, t, j, hi)
+            while j < top:
+                mid = (j + top) // 2
+                j, top = (mid + 1, top) if before(b, first[b] + mid, a, i) else (j, mid)
+        return hi - j
+
+    def close(k: int) -> None:
+        """Book the chunks thief ``k`` ran on its finished timeline."""
+        nonlocal makespan, events
+        (row, busy_row, pop_row, chunks, _), e = line[k], 1 + planned[k]
+        busy[k], over[k], line[k] = busy_row[e], pop_row[e], None
+        events += e - 1  # its pops; the steal that began it was visited
+        executed[k] += e
+        makespan = max(makespan, row[2 * e])
         if timeline is not None:
-            timeline.record(me, start, end, f"chunk{chunk}")
-        heapq.heapreplace(heap, (end, seq, me))
-        seq += 1
+            tags = [f"chunk{c}" for c in chunks[:e]]
+            timeline.record_batch(np.full(e, k), row[1 : 2 * e : 2], row[2 : 2 * e + 1 : 2], tags)
 
-    return StealingResult(
-        # an end time is np.float64 (Python float + array element), and
-        # so was every positive makespan of the one-event-at-a-time loop
-        makespan_cycles=np.float64(makespan) if makespan > 0 else 0.0,
-        busy_cycles=np.array(busy, dtype=np.float64),
-        overhead_cycles=np.array(overhead, dtype=np.float64),
-        chunks_executed=np.array(executed, dtype=np.int64),
-        steal_attempts=attempts,
-        steals_succeeded=hits,
-        chunks_migrated=migrated,
-        timeline=timeline,
-    )
+    due: list[int] = []  # the workers whose next event is at t, in firing order
+    while due or (t := min(nxt)) < inf:
+        if not due:
+            due = [nxt.index(t)]
+            if nxt.count(t) > 1:
+                due = sorted((k for k in range(w) if nxt[k] == t), key=order)
+        a = due.pop(0)
+        i = first[a] + planned[a]
+        if ran[a] < 0:  # its own deque ran dry
+            ran[a] = e = planned[a]
+            busy[a], over[a] = spent[a, e], spent[w, e]
+            events += e
+        elif line[a] is not None:
+            close(a)
+        last[a], rank = -inf, events
+        events += 1
+        if events > bound:
+            raise RuntimeError(f"work stealing took {events} events, past its bound {bound}")
+        top = max(last)
+        if top < t or top == t and all(
+            before(b, first[b] + planned[b] - 1, a, i)
+            for b in range(w)
+            if last[b] == t
+        ):
+            break  # nothing left anywhere: every pending event retires
+
+        if richest:
+            sizes = [queued(b, t, a, i) for b in range(w)]
+            sizes[a] = -1
+            victim = max(range(w), key=sizes.__getitem__)  # the first richest
+            size = sizes[victim]
+        else:
+            victim = next(draws)
+            victim += victim >= a
+            size = queued(victim, t, a, i)
+        attempts, when = attempts + 1, t + steal
+        over[a] += steal
+        past[a].append(cur[a][: planned[a] + 1])  # a's next events: from i + 1
+        first[a], planned[a], done[a] = i + 1, 0, (i, rank)
+        if size <= 0:
+            failed[a] += 1
+            if tracer is not None:
+                shown = {"thief": a, "victim": -1 if richest else victim}
+                tracer.sim_instant("steal-fail", cat="steal", at=when, track=1 + a, **shown)
+            if failed[a] >= max_failed:
+                nxt[a] = inf  # give up; stragglers finish without it
+                continue
+            cur[a], nxt[a] = [when], when
+            if when == t:
+                bisect.insort(due, a, key=order)
+            continue
+
+        # Take the top of the victim's deque: the far end of its timeline.
+        take, p = max(1, math.ceil(size * config.steal_fraction)), planned[victim]
+        if line[victim] is None:
+            stolen = chunk_of[ends[victim] - p : ends[victim] - p + take].tolist()
+            spend = mine[victim, p - take : p][::-1].tolist()
+        else:  # after the chunk it held
+            stolen, spend = (x[p - take + 1 : p + 1][::-1] for x in line[victim][3:])
+        planned[victim] = p = p - take
+        nxt[victim] = float(cur[victim][p])
+        last[victim] = float(cur[victim][p - 1]) if p else -inf
+        if victim in due:
+            due.remove(victim)
+        if nxt[victim] == t:  # its pending event is now its last
+            bisect.insort(due, victim, key=order)
+        hits, migrated, failed[a] = hits + 1, migrated + take, 0
+        if timeline is not None:
+            timeline.record(a, t, when, f"steal<{victim}")
+        if tracer is not None:
+            shown = {"thief": a, "victim": victim, "chunks": take}
+            tracer.sim_instant("steal", cat="steal", at=when, track=1 + a, **shown)
+        # The thief runs the topmost chunk at once (it cannot be re-stolen,
+        # which guarantees progress) and queues the rest in the same order.
+        # A steal takes a few chunks: summing Python floats in sequence is
+        # as exact as np.add.accumulate and cheaper at that size.
+        planned[a] = take - 1
+        if take == 1:  # nothing to queue: book its one chunk now
+            busy[a], over[a], executed[a] = busy[a] + spend[0], over[a] + pop, executed[a] + 1
+            cur[a], nxt[a] = [when + pop + spend[0]], when + pop + spend[0]
+            makespan = max(makespan, nxt[a])
+            if timeline is not None:
+                timeline.record(a, when + pop, nxt[a], f"chunk{stolen[0]}")
+        else:
+            row = [pop] * (2 * take + 1)
+            row[0], row[2::2] = when, spend
+            row = list(accumulate(row))
+            paid = list(accumulate([over[a]] + [pop] * take))
+            line[a] = (row, list(accumulate([busy[a], *spend])), paid, stolen, spend)
+            cur[a], nxt[a], last[a] = row[2::2], row[-1], row[-3]
+        if nxt[a] == t:
+            bisect.insort(due, a, key=order)
+
+    for k in range(w):
+        if line[k] is not None:
+            close(k)
+    # The runs off the workers' own deques, booked in bulk.
+    fresh = np.array(ran) < 0  # never ran dry: still on its own timeline
+    e = np.where(fresh, planned, ran)
+    if e.any():
+        makespan = max(makespan, steps[rows, 2 * e].max())
+    if timeline is not None:
+        k, j = np.nonzero(np.arange(spent.shape[1] - 1) < e[:, None])
+        tags = [f"chunk{c}" for c in chunk_of[np.asarray(ends)[k] - 1 - j].tolist()]
+        timeline.record_batch(k, steps[k, 2 * j + 1], steps[k, 2 * j + 2], tags)
+    # every positive makespan of the one-event-at-a-time loop was an
+    # np.float64 (Python float + array element)
+    makespan = np.float64(makespan) if makespan > 0 else 0.0
+    busy_of, over_of = np.where(fresh, spent[rows, e], busy), np.where(fresh, spent[w, e], over)
+    ran_of = e + np.array(executed, dtype=np.int64)
+    return StealingResult(makespan, busy_of, over_of, ran_of, attempts, hits, migrated, timeline)

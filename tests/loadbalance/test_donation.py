@@ -92,6 +92,20 @@ class TestDonationConfigValidation:
         with pytest.raises(ValueError):
             DonationConfig(num_workers=1, donate_threshold=0)
 
+    @pytest.mark.parametrize(
+        "field", ["donate_cycles", "fetch_cycles", "pop_cycles", "retry_cycles"]
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_overheads(self, field, bad):
+        # a NaN pop once gave makespan 0.0 with NaN overheads, raising nothing
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            DonationConfig(num_workers=2, **{field: bad})
+
+    def test_max_failed_attempts_at_least_one(self):
+        with pytest.raises(ValueError, match="max_failed_attempts"):
+            DonationConfig(num_workers=2, max_failed_attempts=0)
+        DonationConfig(num_workers=2, max_failed_attempts=1)
+
     def test_negative_costs_rejected(self):
         with pytest.raises(ValueError):
             simulate_work_donation(

@@ -1,20 +1,21 @@
-"""Equivalence of the two-phase work-stealing simulator against the event loop.
+"""Equivalence of the work-stealing simulator against the event loop.
 
-``simulate_work_stealing`` fast-forwards every worker through its own
-deque up to the first moment a steal could happen, then finishes in an
-inlined heap loop. It must be *bit-identical* to the original
+``simulate_work_stealing`` reads every worker's own pops off a
+precomputed timeline and visits only the events at which a worker finds
+its deque empty. It must be *bit-identical* to the original
 closure-per-event loop over :class:`~repro.gpusim.events.EventSimulator`
 kept below as :func:`reference_work_stealing`: the same result fields
 (float accumulation order included, and the makespan's type, which the
 benchmark identity hashes through ``repr``), the same per-pipe timeline
 intervals and the same sequence of traced steal instants.
 
-The property draws the inputs that stress the hand-over between the
-phases: tie-heavy and zero costs (equal pending times are ordered by
-their ancestor time chains), slab, random, all-on-one and
-fewer-chunks-than-workers owners, zero and positive overheads. A second
-test replays the chunk vectors a small-scale suite run feeds the
-simulator.
+The first property draws tie-heavy and zero costs (equal times are
+ordered by their ancestor time chains), slab, random, all-on-one and
+fewer-chunks-than-workers owners, zero and positive overheads. The
+second draws long slab runs, where victims are robbed deep into their
+timelines and thieves are robbed in turn. Two replays feed the
+simulator the chunk vectors of a small-scale suite run and of the
+standard-scale powerlaw run the benchmark times.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.coloring.kernels as kernels
+import repro.loadbalance.workstealing as workstealing
 from repro.engine.context import RunContext
 from repro.gpusim.events import EventSimulator
 from repro.gpusim.trace import Timeline
@@ -163,6 +165,7 @@ def assert_identical(costs, owner, cfg) -> StealingResult:
     assert repr(new.makespan_cycles) == repr(ref.makespan_cycles)
     for name in ("busy_cycles", "overhead_cycles", "chunks_executed"):
         assert _bits(getattr(new, name)) == _bits(getattr(ref, name)), name
+    assert new.chunks_executed.sum() == np.asarray(costs).size
     assert (new.steal_attempts, new.steals_succeeded, new.chunks_migrated) == (
         ref.steal_attempts,
         ref.steals_succeeded,
@@ -186,13 +189,7 @@ def workloads(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     owners = draw(st.sampled_from(["slab", "random", "one", "sparse"]))
     n = draw(st.integers(0, w - 1)) if owners == "sparse" else draw(st.integers(0, 160))
-    kind = draw(st.sampled_from(["ties", "zeros", "pareto"]))
-    if kind == "ties":
-        costs = rng.choice([0.0, 1.0, 2.0, 3.0, 8.0], size=n)
-    elif kind == "zeros":
-        costs = np.zeros(n)
-    else:
-        costs = rng.pareto(1.2, size=n) * 100.0 + 1.0
+    costs = _costs(draw(st.sampled_from(["ties", "zeros", "pareto"])), rng, n)
     if owners == "slab":
         owner = np.arange(n) // max(1, -(-n // w))
     elif owners == "random":
@@ -217,6 +214,45 @@ def workloads(draw):
 @given(workloads())
 def test_matches_event_loop(case):
     assert_identical(*case)
+
+
+def _costs(kind: str, rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+    if kind == "ties":
+        return rng.choice([0.0, 1.0, 2.0, 3.0, 8.0], size=n) * scale
+    if kind == "zeros":
+        return np.zeros(n)
+    return rng.pareto(1.2, size=n) * 100.0 + 1.0
+
+
+@st.composite
+def long_slab_runs(draw):
+    """The executor's contiguous slabs: up to 3,000 chunks on 2, 28 or 64 workers."""
+    w = draw(st.sampled_from([2, 28, 64]))
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    costs = _costs(draw(st.sampled_from(["ties", "zeros", "pareto"])), rng, n, 100.0)
+    cfg = StealingConfig(
+        num_workers=w,
+        pop_cycles=draw(st.sampled_from([0.0, 8.0])),
+        steal_policy=draw(st.sampled_from(["random", "richest"])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return costs, np.arange(n) // -(-n // w), cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_slab_runs())
+def test_matches_event_loop_on_long_slab_runs(case):
+    assert_identical(*case)
+
+
+def test_runaway_guard_raises_instead_of_truncating(monkeypatch):
+    # the proven event bound is checked as an invariant: running past a
+    # budget must raise, never return a schedule with chunks left over
+    monkeypatch.setattr(workstealing, "_event_bound", lambda n, w, max_failed: 10)
+    cfg = StealingConfig(num_workers=4)
+    with pytest.raises(RuntimeError, match="past its bound 10"):
+        simulate_work_stealing(np.full(40, 5.0), np.zeros(40, dtype=np.int64), cfg)
 
 
 @pytest.mark.parametrize("makespan_zero", [True, False])
@@ -282,3 +318,30 @@ def test_matches_event_loop_on_suite_chunks(captured_calls):
     for costs, owner, cfg in captured_calls:
         steals += assert_identical(costs, owner, cfg).steal_attempts
     assert steals > 0
+
+
+@pytest.fixture(scope="module")
+def powerlaw_calls():
+    """The chunk vectors of the benchmark's standard-scale powerlaw run."""
+    calls = []
+    real = kernels.simulate_work_stealing
+
+    def capture(chunk_cycles, owner, config, **kwargs):
+        calls.append((np.array(chunk_cycles), np.array(owner), config))
+        return real(chunk_cycles, owner, config, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "simulate_work_stealing", capture)
+        ctx = RunContext(seed=0)
+        ex = ctx.executor(mapping="wavefront", schedule="stealing", chunk_size=256)
+        graph = suite.build("powerlaw", "standard")
+        run_gpu_coloring(graph, "jp", ex, seed=0, context=ctx, priority="random")
+    return calls
+
+
+def test_matches_event_loop_on_powerlaw_sweeps(powerlaw_calls):
+    # the first sweep and the last with more chunks than workers
+    w = powerlaw_calls[0][2].num_workers
+    wide = [call for call in powerlaw_calls if call[0].size > w]
+    for costs, owner, cfg in (wide[0], wide[-1]):
+        assert assert_identical(costs, owner, cfg).steal_attempts > 0
