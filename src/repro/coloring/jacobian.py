@@ -21,8 +21,12 @@ The round-trip ``recover(J @ seed) == J`` is the correctness test.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "column_intersection_coloring",
@@ -33,6 +37,8 @@ __all__ = [
 
 
 def _pattern_csc(pattern) -> sp.csc_matrix:
+    import scipy.sparse as sp
+
     mat = sp.csc_matrix(pattern)
     mat.eliminate_zeros()
     return mat
@@ -95,6 +101,8 @@ def recover_jacobian(pattern, compressed: np.ndarray, colors: np.ndarray) -> sp.
     ``compressed[r, colors[j]]`` (no other column of that group touches
     row ``r``). Returns a CSR matrix with the pattern's sparsity.
     """
+    import scipy.sparse as sp
+
     mat = sp.csr_matrix(pattern)
     mat.eliminate_zeros()
     cols = np.asarray(colors, dtype=np.int64)

@@ -16,10 +16,13 @@ tests ``O(log d)``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 
 import numpy as np
 
 __all__ = ["CSRGraph"]
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 class CSRGraph:
@@ -77,7 +80,14 @@ class CSRGraph:
 
         Edges are treated as undirected; duplicates (in either
         orientation) are merged and self-loops dropped. ``num_vertices``
-        defaults to ``max(endpoint) + 1`` (0 for an empty edge list).
+        defaults to ``max(endpoint) + 1`` (0 for an empty edge list) and
+        is range-checked before anything of size ``n`` is allocated.
+
+        Each edge is packed into one ``int64`` key. The canonical keys
+        ``min * n + max`` are sorted and the first of each run kept; the
+        survivors plus their reversed keys ``max * n + min`` are sorted
+        once more, which is row-major CSR order, so ``divmod`` by ``n``
+        gives rows and neighbors and ``indptr`` sums the row counts.
         """
         u = np.asarray(sources, dtype=np.int64).ravel()
         v = np.asarray(targets, dtype=np.int64).ravel()
@@ -86,30 +96,26 @@ class CSRGraph:
         if u.size and (u.min() < 0 or v.min() < 0):
             raise ValueError("vertex ids must be non-negative")
         if num_vertices is None:
-            num_vertices = int(max(u.max(initial=-1), v.max(initial=-1)) + 1)
-        elif u.size and max(u.max(), v.max()) >= num_vertices:
+            n = int(max(u.max(initial=-1), v.max(initial=-1)) + 1)
+        else:
+            n = int(num_vertices)
+        if not 0 <= n <= _INT32_MAX:
+            raise ValueError(f"num_vertices={n} is outside [0, {_INT32_MAX}] (int32 ids)")
+        if num_vertices is not None and u.size and max(u.max(), v.max()) >= n:
             raise ValueError("edge endpoint exceeds num_vertices")
-        n = int(num_vertices)
 
         keep = u != v  # drop self-loops
         u, v = u[keep], v[keep]
-        # Canonicalize, dedupe, then symmetrize.
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        if lo.size:
-            key = lo * n + hi
-            _, first = np.unique(key, return_index=True)
-            lo, hi = lo[first], hi[first]
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        key = np.minimum(u, v) * n + np.maximum(u, v)
+        key.sort()
+        # first key of each run; NumPy 2's hash-based np.unique is far slower here
+        key = key[np.diff(key, prepend=-1) != 0]
+        lo, hi = np.divmod(key, n)
+        key = np.concatenate([key, hi * n + lo])
+        key.sort()
+        src, dst = np.divmod(key, n)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        if n > np.iinfo(np.int32).max:
-            raise ValueError("num_vertices exceeds int32 neighbor-id capacity")
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         # Guarded above: every id is < n <= int32 max.
         return CSRGraph(indptr, dst.astype(np.int32), validate=False)  # check: allow(RC008)
 
@@ -131,13 +137,11 @@ class CSRGraph:
     @staticmethod
     def from_adjacency(neighbors: Sequence[Iterable[int]]) -> "CSRGraph":
         """Build from a per-vertex neighbor-list sequence."""
-        sources: list[int] = []
-        targets: list[int] = []
-        for u, nbrs in enumerate(neighbors):
-            for w in nbrs:
-                sources.append(u)
-                targets.append(int(w))
-        return CSRGraph.from_edges(sources, targets, num_vertices=len(neighbors))
+        rows = [list(nbrs) for nbrs in neighbors]
+        counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        sources = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
+        targets = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=sources.size)
+        return CSRGraph.from_edges(sources, targets, num_vertices=len(rows))
 
     @staticmethod
     def from_networkx(graph) -> "CSRGraph":

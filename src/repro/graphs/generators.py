@@ -106,13 +106,14 @@ def rmat(
     m = n * edge_factor
     u = np.zeros(m, dtype=np.int64)
     v = np.zeros(m, dtype=np.int64)
+    r = np.empty(m)
     for _ in range(scale):
-        r = rng.random(m)
-        right = r >= a + b  # quadrants c or d: row bit set
+        rng.random(out=r)
+        u <<= 1
+        u |= r >= a + b  # quadrants c or d: row bit set
+        v <<= 1
         # quadrant b, or quadrant d: column bit set
-        col_bit = ((r >= a) & (r < a + b)) | (r >= a + b + c)
-        u = (u << 1) | right.astype(np.int64)
-        v = (v << 1) | col_bit.astype(np.int64)
+        v |= ((r >= a) & (r < a + b)) | (r >= a + b + c)
     return CSRGraph.from_edges(u, v, num_vertices=n)
 
 
@@ -130,28 +131,19 @@ def barabasi_albert(n: int, *, attach: int = 4, seed: int = 0) -> CSRGraph:
     rng = _rng(seed)
     # Seed clique of attach + 1 vertices keeps early degrees nonzero.
     seed_n = attach + 1
-    src: list[np.ndarray] = []
-    dst: list[np.ndarray] = []
     iu, iv = np.triu_indices(seed_n, k=1)
-    src.append(iu.astype(np.int64))
-    dst.append(iv.astype(np.int64))
-    # endpoint pool grows as edges are added; preallocate worst case
-    pool = np.empty(2 * (iu.size + (n - seed_n) * attach), dtype=np.int64)
-    pool[: 2 * iu.size : 2] = iu
-    pool[1 : 2 * iu.size : 2] = iv
-    filled = 2 * iu.size
+    src: list[int] = iu.tolist()
+    dst: list[int] = iv.tolist()
+    # endpoint pool: both ends of every edge, in insertion order
+    pool = np.column_stack([iu, iv]).ravel().tolist()
     for newv in range(seed_n, n):
-        picks = pool[rng.integers(0, filled, size=attach)]
-        picks = np.unique(picks)
-        cnt = picks.size
-        src.append(np.full(cnt, newv, dtype=np.int64))
-        dst.append(picks)
-        pool[filled : filled + cnt] = newv
-        pool[filled + cnt : filled + 2 * cnt] = picks
-        filled += 2 * cnt
-    return CSRGraph.from_edges(
-        np.concatenate(src), np.concatenate(dst), num_vertices=n
-    )
+        picks = sorted({pool[i] for i in rng.integers(0, len(pool), size=attach).tolist()})
+        k = len(picks)
+        src += [newv] * k
+        dst += picks
+        pool += [newv] * k
+        pool += picks
+    return CSRGraph.from_edges(src, dst, num_vertices=n)
 
 
 def powerlaw_cluster(

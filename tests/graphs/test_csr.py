@@ -1,10 +1,41 @@
 """Unit tests for the CSR graph substrate."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.graphs.csr import CSRGraph
 from repro.graphs import generators as gen
+from repro.graphs.csr import CSRGraph
+
+
+def reference_csr(us, vs, n):
+    """Plain-Python CSR: canonical pair set expanded to sorted neighbor lists."""
+    pairs = {(min(a, b), max(a, b)) for a, b in zip(us, vs, strict=True) if a != b}
+    rows = [[] for _ in range(n)]
+    for a, b in pairs:
+        rows[a].append(b)
+        rows[b].append(a)
+    indptr = [0]
+    for row in rows:
+        indptr.append(indptr[-1] + len(row))
+    return indptr, [w for row in rows for w in sorted(row)]
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge lists with repeats in both orientations, self-loops and isolated tails."""
+    n = draw(st.integers(1, 40))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+    # re-add some edges, half of them reversed
+    again = draw(st.lists(st.sampled_from(pairs), max_size=n)) if pairs else []
+    pairs += [(b, a) if i % 2 else (a, b) for i, (a, b) in enumerate(again)]
+    pairs = draw(st.permutations(pairs))
+    explicit = draw(st.booleans())
+    return [a for a, _ in pairs], [b for _, b in pairs], (n if explicit else None)
 
 
 class TestFromEdges:
@@ -57,6 +88,43 @@ class TestFromEdges:
     def test_neighbor_lists_sorted(self):
         g = CSRGraph.from_edges([2, 2, 2], [3, 0, 1])
         assert list(g.neighbors(2)) == [0, 1, 3]
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_lists())
+    @example(([], [], None))
+    @example(([], [], 0))
+    @example(([3, 3], [3, 3], None))  # self-loops only: 4 isolated vertices
+    @example(([0, 4, 0], [4, 0, 4], 9))  # one edge both ways, isolated tail
+    @example(([8, 7], [7, 8], 9))  # ids at n - 1
+    def test_matches_python_reference(self, case):
+        us, vs, num_vertices = case
+        g = CSRGraph.from_edges(us, vs, num_vertices=num_vertices)
+        n = num_vertices if num_vertices is not None else max(us + vs, default=-1) + 1
+        indptr, indices = reference_csr(us, vs, n)
+        assert g.indptr.tolist() == indptr
+        assert g.indices.tolist() == indices
+        assert g.indices.dtype == np.int32
+        CSRGraph(g.indptr, g.indices)  # passes full validation
+
+    @pytest.mark.parametrize(
+        "us, vs, num_vertices, named",
+        [
+            ([], [], 2**31, 2**31),
+            ([], [], 2**40, 2**40),
+            ([], [], -1, -1),
+            ([0], [1], -3, -3),
+            ([0], [2**31], None, 2**31 + 1),  # inferred from the ids
+        ],
+    )
+    def test_num_vertices_checked_before_allocating(self, us, vs, num_vertices, named):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"num_vertices={named} "):
+                CSRGraph.from_edges(us, vs, num_vertices=num_vertices)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # nothing of size num_vertices was allocated
 
 
 class TestInvariantChecks:
@@ -196,6 +264,12 @@ class TestTransforms:
         g = CSRGraph.from_adjacency([[1, 2], [0], [0]])
         assert g.num_edges == 2
         assert g.degree(0) == 2
+
+    def test_from_adjacency_mixed_rows(self):
+        # generators, sets and numpy rows; an empty trailing row stays isolated
+        rows = [iter([1, 2]), {0}, np.array([0, 1]), []]
+        g = CSRGraph.from_adjacency(rows)
+        assert g == CSRGraph.from_edges([0, 0, 2], [1, 2, 1], num_vertices=4)
 
     def test_from_scipy_rejects_rectangular(self):
         sp = pytest.importorskip("scipy.sparse")

@@ -1,10 +1,22 @@
 """Unit tests for the synthetic graph generators."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.graphs import generators as gen
 from repro.graphs.stats import degree_cv
+from repro.harness.suite import SCALES, SUITE
+from repro.store.db import graph_digest
+
+#: ``graph_digest`` of every suite graph at every scale. Store rows and the
+#: golden digests are keyed by these graphs, so generators and
+#: ``CSRGraph.from_edges`` must reproduce them bit for bit.
+SUITE_DIGESTS = json.loads(
+    (Path(__file__).parent.parent / "data" / "suite_graph_digests.json").read_text()
+)
 
 
 class TestErdosRenyi:
@@ -215,3 +227,34 @@ class TestMicroStructures:
         assert g.degree(2) == 2
         assert not g.has_edge(0, 1)  # same side
         assert not g.has_edge(2, 3)
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("name", list(SUITE))
+    def test_suite_graph_digests(self, name):
+        # built directly, past the process and on-disk graph caches
+        built = {scale: graph_digest(SUITE[name].build(scale)) for scale in SCALES}
+        assert built == SUITE_DIGESTS[name]
+
+    @pytest.mark.parametrize(
+        "build, digest, state",
+        [
+            (
+                lambda rng: gen.barabasi_albert(300, attach=3, seed=rng),
+                "8df5dfcc335aaf4f2754bf4cb7a94b08",
+                328760523545876813581688679490044801178,
+            ),
+            (
+                lambda rng: gen.rmat(8, edge_factor=4, seed=rng),
+                "a05a80b1e29fbe0b6749ecabe3d29781",
+                69153971303579998625266246881379330414,
+            ),
+        ],
+        ids=["barabasi_albert", "rmat"],
+    )
+    def test_generator_state_after_call(self, build, digest, state):
+        # a caller's Generator advances by exactly the same draws
+        rng = np.random.default_rng(11)
+        assert graph_digest(build(rng)) == digest
+        after = rng.bit_generator.state
+        assert (after["state"]["state"], after["has_uint32"]) == (state, 0)

@@ -1,7 +1,13 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.graphs import generators as gen
 from repro.graphs.io import write_dimacs_coloring
@@ -17,6 +23,25 @@ class TestVersionFlag:
         out = capsys.readouterr().out
         assert "repro-color" in out
         assert __version__ in out
+
+
+class TestImportCost:
+    def test_cli_import_does_not_load_scipy(self):
+        # SciPy is imported inside the functions that need it, never at startup
+        code = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSuiteCommand:
