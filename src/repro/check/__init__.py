@@ -7,11 +7,12 @@ without fear. Four pillars:
   proper-coloring, CSR structure, scheduler/trace sanity. Every check
   produces a :class:`~repro.check.validators.Report` instead of
   raising, so a validation pass can collect *all* violations at once.
-* :mod:`~repro.check.races` — a simulated-race detector: replays an
-  algorithm's logical memory accesses through an
-  :class:`~repro.check.races.AccessLog` (per-array-index reads/writes
-  tagged by wavefront and kernel step) and flags conflicting same-step
-  accesses from different wavefronts that lack an atomic/sync edge.
+* :mod:`~repro.check.races` — a simulated-race detector: runs an
+  algorithm's certified kernel specs per thread and records every
+  global-array access in an :class:`~repro.check.races.AccessLog`
+  (per-array-index reads/writes tagged by wavefront and kernel step),
+  then flags conflicting same-step accesses from different wavefronts
+  that lack an atomic/sync edge.
 * :mod:`~repro.check.determinism` — golden run digests (colors +
   cycles + steal counts hashed) with drift detection and run diffing.
 * :mod:`~repro.check.lint` — a repo-specific AST lint pass (seeded
@@ -26,7 +27,7 @@ without fear. Four pillars:
   memory-safety verifier over the kernel specs: per-array verdicts
   (race-free / synchronized / atomic-only / may-race with a symbolic
   witness), in-bounds proofs under the CSR invariants, and a
-  cross-check that the static verdicts agree with the dynamic replay.
+  cross-check that the static verdicts agree with the dynamic scan.
   Both layers share one conflict-rule/sync-edge definition,
   :mod:`~repro.check.concurrency`.
 
@@ -35,7 +36,7 @@ Surfaced through ``repro check
 ``--validate`` flag on ``color``/runner/batch.
 """
 
-from .concurrency import INPLACE_ARRAYS, classify_element, expected_racy
+from .concurrency import INPLACE_ARRAYS, classify_bucket, expected_racy
 from .determinism import (
     DriftReport,
     RunDigest,
@@ -99,7 +100,7 @@ __all__ = [
     "analyze_algorithm",
     "analyze_kernel",
     "check_drift",
-    "classify_element",
+    "classify_bucket",
     "compare_runs",
     "cross_check",
     "detect_races",

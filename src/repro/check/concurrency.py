@@ -1,6 +1,6 @@
 """Shared concurrency semantics for the dynamic and static race layers.
 
-:mod:`repro.check.races` (the dynamic replay detector) and
+:mod:`repro.check.races` (the dynamic access-log detector) and
 :mod:`repro.check.flow.memsafe` (the static verifier over kernel
 specs) reason about the *same* machine model. This module is the
 single definition both consume, so the two layers cannot drift:
@@ -21,12 +21,12 @@ single definition both consume, so the two layers cannot drift:
   atomic is ordered, not racy.
 * **The conflict rule** itself: same element, same step, ≥2 distinct
   wavefronts, at least one write, not all-atomic
-  (:func:`classify_element`).
+  (:func:`classify_bucket`).
 * **In-place arrays.** Which algorithms deliberately run kernels
   in-place over shared state (:data:`INPLACE_ARRAYS`). The dynamic
-  layer derives its *expected-racy* declarations from this table; the
-  static layer derives the physical aliasing of ``colors_in``/
-  ``colors_out`` from it.
+  layer derives its *expected-racy* declarations from this table; both
+  layers derive the physical aliasing of ``colors_in``/``colors_out``
+  from it and :func:`logical_array`.
 """
 
 from __future__ import annotations
@@ -36,11 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "BucketConflicts",
     "DEFAULT_WAVEFRONT_SIZE",
-    "ElementConflict",
     "INPLACE_ARRAYS",
-    "classify_element",
+    "classify_bucket",
     "expected_racy",
+    "logical_array",
     "wavefront_of",
 ]
 
@@ -78,46 +79,73 @@ def wavefront_of(threads: np.ndarray, wavefront_size: int) -> np.ndarray:
     return np.asarray(threads) // wavefront_size
 
 
+def logical_array(name: str) -> str:
+    """Spec parameter → logical array: a snapshot pair shares one name.
+
+    ``colors_in``/``colors_out`` are the two buffers of one logical
+    ``colors``; for an algorithm whose :data:`INPLACE_ARRAYS` entry
+    names ``colors`` they are one physical buffer.
+    """
+    if name in ("colors_in", "colors_out"):
+        return "colors"
+    return name
+
+
 @dataclass(frozen=True)
-class ElementConflict:
-    """One element's same-step conflict, per the shared conflict rule."""
+class BucketConflicts:
+    """The racy elements of one (array, step) bucket, in index order.
 
-    num_wavefronts: int
-    has_write_write: bool
-    has_read_write: bool
+    ``order`` sorts the bucket's accesses by (element index,
+    wavefront); ``order[starts[k]:starts[k] + sizes[k]]`` are the
+    positions of racy element ``k``'s accesses.
+    """
+
+    order: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    num_wavefronts: np.ndarray
+    has_write_write: np.ndarray
 
 
-def classify_element(
+def classify_bucket(
+    indices: np.ndarray,
     wavefronts: np.ndarray,
     writes: np.ndarray,
     atomics: np.ndarray,
-) -> ElementConflict | None:
-    """Apply the conflict rule to one element's same-step access columns.
+) -> BucketConflicts:
+    """Apply the conflict rule to every element of one (array, step) bucket.
 
-    Returns ``None`` when the element cannot race: read-only, touched
-    by a single wavefront (lockstep), or all-atomic (ordered at the
-    memory controller). Otherwise classifies the conflict as
-    write/write (two non-atomic-exempt writing wavefronts) and/or
-    read/write. Callers bucket accesses per (array, element, step);
-    the sync-edge rule is theirs — this function never sees accesses
-    from different steps.
+    Takes the bucket's access columns as int64 indices and wavefronts
+    and bool write/atomic flags. An element races when its accesses come from ≥2 distinct
+    wavefronts, at least one is a write, and they are not all atomic;
+    the conflict is write/write when ≥2 distinct wavefronts write it.
+    Read-only, single-wavefront (lockstep) and all-atomic (ordered at
+    the memory controller) elements are not reported. Callers bucket
+    accesses per (array, step); the sync-edge rule is theirs — this
+    function never sees accesses from different steps.
     """
-    writes = np.asarray(writes, dtype=bool)
-    if not writes.any():
-        return None
-    wavefronts = np.asarray(wavefronts)
-    wfs = np.unique(wavefronts)
-    if wfs.size < 2:
-        return None
-    if bool(np.all(np.asarray(atomics, dtype=bool))):
-        return None
-    writing_wfs = np.unique(wavefronts[writes])
-    has_ww = writing_wfs.size >= 2
-    has_rw = bool(np.any(~writes)) or has_ww
-    if not (has_ww or has_rw):
-        return None
-    return ElementConflict(
-        num_wavefronts=int(wfs.size),
-        has_write_write=has_ww,
-        has_read_write=has_rw,
+    order = np.argsort(indices * (int(wavefronts.max(initial=0)) + 1) + wavefronts)
+    idx, wf, wr, at = indices[order], wavefronts[order], writes[order], atomics[order]
+    new_element = np.ones(idx.size, dtype=bool)
+    new_element[1:] = idx[1:] != idx[:-1]
+    new_pair = new_element.copy()  # a new (element, wavefront) pair
+    new_pair[1:] |= wf[1:] != wf[:-1]
+    group = np.cumsum(new_element) - 1
+    pair = np.cumsum(new_pair) - 1
+    starts = np.flatnonzero(new_element)
+    groups = starts.size
+    sizes = np.diff(np.append(starts, idx.size))
+    any_write = np.bincount(group[wr], minlength=groups) > 0
+    all_atomic = np.bincount(group[at], minlength=groups) == sizes
+    pair_group = group[new_pair]
+    num_wf = np.bincount(pair_group, minlength=groups)
+    pair_writes = np.bincount(pair[wr], minlength=pair_group.size) > 0
+    writing_wf = np.bincount(pair_group[pair_writes], minlength=groups)
+    racy = np.flatnonzero(any_write & ~all_atomic & (num_wf >= 2))
+    return BucketConflicts(
+        order=order,
+        starts=starts[racy],
+        sizes=sizes[racy],
+        num_wavefronts=num_wf[racy],
+        has_write_write=writing_wf[racy] >= 2,
     )

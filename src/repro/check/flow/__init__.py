@@ -22,7 +22,7 @@ Layers (each building on the previous):
   memory-safety verifier built on them: per-array verdicts
   (race-free, synchronized, atomic-only, may-race with a witness),
   in-bounds proofs for every subscript, and the cross-check against
-  the dynamic race replay.
+  the dynamic race scan.
 * :mod:`~repro.check.flow.types` /
   :mod:`~repro.check.flow.overflow` — the dtype/shape inference
   lattice (seeded by the specs' declared ``param_dtypes``) that
@@ -31,10 +31,10 @@ Layers (each building on the previous):
   each integer intermediate as fits-int32 / needs-int64 under
   explicit scale premises.
 * :mod:`~repro.check.flow.lower` — verified lowering of certified
-  kernels into a typed IR with explicit casts, plus C (cffi) and
-  numba/python emitters; emission refuses any kernel lacking a
-  memsafe ok-verdict and clean type/overflow certificates (the S44
-  gate, enforced in code).
+  kernels into a typed IR with explicit casts, plus a C emitter built
+  via cffi; emission refuses any kernel lacking a memsafe ok-verdict
+  and clean type/overflow certificates (the S44 gate, enforced in
+  code).
 
 The kernels analyzed are the executable per-thread specs in
 :mod:`repro.coloring.device_kernels`, which the test suite runs
@@ -90,14 +90,11 @@ from .lower import (
     IRParam,
     KernelCertificate,
     LoweringRefused,
-    SourceLauncher,
     certificate_for,
     compile_c,
     emit_c,
-    emit_python,
     lower_all,
     lower_kernel,
-    python_launcher,
     render_ir,
 )
 from .overflow import (
@@ -183,13 +180,10 @@ __all__ = [
     "IRParam",
     "KernelCertificate",
     "LoweringRefused",
-    "SourceLauncher",
     "certificate_for",
     "compile_c",
     "emit_c",
-    "emit_python",
     "lower_all",
     "lower_kernel",
-    "python_launcher",
     "render_ir",
 ]

@@ -1,12 +1,12 @@
 """Static race-freedom and memory-safety verifier for kernel specs.
 
 The dynamic race detector (:mod:`repro.check.races`) *observes* an
-algorithm's access pattern by replaying it; this module *proves* the
-same properties from the kernel source alone, so the planned compiled
-backend can accept a spec without a replay. It walks each per-thread
-kernel in :mod:`repro.coloring.device_kernels` with an abstract
-interpreter over the :mod:`~repro.check.flow.regions` domain and
-produces two artifacts:
+algorithm's access pattern by running its kernel specs under an access
+log; this module *proves* the same properties from the kernel source
+alone, so the compiled backend can accept a spec without a run. It
+walks each per-thread kernel in :mod:`repro.coloring.device_kernels`
+with an abstract interpreter over the :mod:`~repro.check.flow.regions`
+domain and produces two artifacts:
 
 * **per-access bounds proofs** — every subscript's index interval is
   discharged against the array's declared length using the CSR
@@ -32,9 +32,9 @@ edges, intra-wavefront interleavings are lockstep-exempt, all-atomic
 contention is ordered, and the per-algorithm in-place declarations
 (``INPLACE_ARRAYS``) decide whether ``colors_in``/``colors_out``
 alias one physical buffer. :func:`cross_check` closes the loop: for
-every algorithm with a dynamic scanner, the statically ``may-race``
-arrays must cover everything the replay observes (soundness) and
-match the declared expectations exactly.
+every GPU algorithm, the statically ``may-race`` arrays must cover
+everything the dynamic scan observes (soundness) and match the
+declared expectations exactly.
 """
 
 from __future__ import annotations
@@ -45,11 +45,12 @@ from typing import Any
 
 from ...coloring.device_kernels import (
     DEVICE_KERNELS,
+    KERNEL_ALGORITHMS,
     DeviceKernel,
     kernel_ast,
     kernels_for,
 )
-from ..concurrency import DEFAULT_WAVEFRONT_SIZE, expected_racy
+from ..concurrency import DEFAULT_WAVEFRONT_SIZE, expected_racy, logical_array
 from .regions import (
     Bounder,
     IVal,
@@ -736,13 +737,6 @@ def verify_device_kernels(
     ]
 
 
-def _logical(name: str) -> str:
-    """Spec parameter → logical array (snapshot pairs share a name)."""
-    if name in ("colors_in", "colors_out"):
-        return "colors"
-    return name
-
-
 def _ground_affine(site: AccessSite) -> tuple[float, LinExpr] | None:
     """``(coeff_t, residual)`` when the index is affine in the owner id
     with a launch-uniform residual — the shape disjointness proofs need."""
@@ -830,7 +824,7 @@ def verify_kernels(
     by_logical: dict[str, list[AccessSite]] = {}
     for report in reports:
         for site in report.sites:
-            by_logical.setdefault(_logical(site.array), []).append(site)
+            by_logical.setdefault(logical_array(site.array), []).append(site)
 
     verdicts: list[ArrayVerdict] = []
     for logical in sorted(by_logical):
@@ -898,7 +892,7 @@ def verify_algorithm(
 
 @dataclass
 class CrossCheckRow:
-    """One algorithm's static verdicts against the dynamic replay."""
+    """One algorithm's static verdicts against the dynamic scan."""
 
     algorithm: str
     static_may_race: tuple[str, ...]
@@ -906,7 +900,7 @@ class CrossCheckRow:
     expected: tuple[str, ...]
     dynamic_findings: int
     sound: bool  # every dynamically-observed racy array is static may-race
-    agree: bool  # sound, static == declared expectation, replay ok
+    agree: bool  # sound, static == declared expectation, scan ok
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -926,28 +920,23 @@ def cross_check(
     algorithms: tuple[str, ...] | None = None,
     seed: int = 0,
     wavefront_size: int = DEFAULT_WAVEFRONT_SIZE,
-    max_rounds: int = 10_000,
 ) -> list[CrossCheckRow]:
     """Prove the static and dynamic layers agree on ``graph``.
 
-    For every algorithm with a dynamic scanner: the replay's racy
-    arrays must be a subset of the static ``may-race`` set (the static
-    layer is sound — it can over-approximate, never miss), the static
-    set must equal the shared declared expectation, and the replay
-    itself must pass. Kernels the static layer proves race-free must
-    therefore never produce a dynamic finding.
+    For every GPU algorithm (all of them, by default): the dynamic
+    scan's racy arrays must be a subset of the static ``may-race`` set
+    (the static layer is sound — it can over-approximate, never miss),
+    the static set must equal the shared declared expectation, and the
+    scan itself must pass. Kernels the static layer proves race-free
+    must therefore never produce a dynamic finding.
     """
-    from ..races import RACE_SCANNERS, scan_algorithm_races
+    from ..races import scan_algorithm_races
 
     rows: list[CrossCheckRow] = []
-    for algorithm in algorithms or tuple(sorted(RACE_SCANNERS)):
+    for algorithm in algorithms or tuple(sorted(KERNEL_ALGORITHMS)):
         static = verify_algorithm(algorithm, wavefront_size=wavefront_size)
         scan = scan_algorithm_races(
-            graph,
-            algorithm,
-            seed=seed,
-            wavefront_size=wavefront_size,
-            max_rounds=max_rounds,
+            graph, algorithm, seed=seed, wavefront_size=wavefront_size
         )
         static_set = set(static.may_race)
         dynamic_set = set(scan.racy_arrays)

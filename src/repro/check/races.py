@@ -8,52 +8,57 @@ the collisions (paper stages E2/E5). Independent-set algorithms
 construction. Nothing in the repo proved either claim — this module
 does.
 
-The mechanism is an opt-in access-log shim over the simulated memory
-model: algorithms are *replayed* with every logical array access
-recorded into an :class:`AccessLog` — per array, per element index,
-tagged with the issuing SIMT thread, its wavefront, and the kernel
-step. Kernel launches are sync edges (``AccessLog.next_step``), so two
-accesses can only race when they hit the same element of the same
-array, in the same step, from *different wavefronts*, at least one is
-a write, and they are not both atomic.
+The mechanism is an access log over the certified kernel specs
+themselves: :class:`AccessLoggingLauncher` runs every
+:data:`~repro.coloring.device_kernels.DEVICE_KERNELS` spec once per
+thread, in the reference interpreter's order, and records each
+global-array element access into an :class:`AccessLog` — per array,
+per element index, tagged with the issuing SIMT thread, its
+wavefront, and the kernel step. Kernel launches are sync edges
+(``AccessLog.next_step``), so two accesses can only race when they hit
+the same element of the same array, in the same step, from *different
+wavefronts*, at least one is a write, and they are not both atomic.
 
 Wavefront granularity matches the machine model: lanes of one
 wavefront execute in lockstep, so intra-wavefront interleavings cannot
 produce the read-stale-then-write hazards the conflict-resolution
 cycle exists to repair.
 
-:func:`scan_algorithm_races` replays the real algorithm loops
-(the same numpy primitives the timed runs use, same seeds, same
-colors out) and classifies findings against each algorithm's declared
-*expected-racy* arrays — the speculative scan must localize every race
-to ``colors``; a race anywhere else, or any race at all under
-Jones–Plassmann or max-min, is a bug.
+:func:`scan_algorithm_races` drives the kernel-launch host loops of
+:func:`repro.coloring.interp.run_coloring` through that launcher and
+classifies findings against each algorithm's declared *expected-racy*
+arrays — the speculative family must localize every race to
+``colors``; a race anywhere else, or any race at all under
+Jones–Plassmann, max-min or edge-centric, is a bug.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Any
 
 import numpy as np
 
-from ..coloring._nbr import first_fit_colors, neighbor_max, neighbor_min
-from ..coloring.base import UNCOLORED
+from ..coloring.device_kernels import DEVICE_KERNELS
+from ..coloring.interp import INTERP_ALGORITHMS, launch_order, run_coloring
 from ..graphs.csr import CSRGraph
 from .concurrency import (
     DEFAULT_WAVEFRONT_SIZE,
-    classify_element,
+    classify_bucket,
     expected_racy,
+    logical_array,
     wavefront_of,
 )
 
 __all__ = [
     "Access",
     "AccessLog",
+    "AccessLoggingLauncher",
     "RaceFinding",
     "RaceScan",
     "detect_races",
     "scan_algorithm_races",
-    "RACE_SCANNERS",
 ]
 
 
@@ -153,7 +158,7 @@ class AccessLog:
         return sorted({a for a, _ in self._buckets})
 
     def buckets(self):
-        """Yield ``(array, step, indices, wavefronts, writes, atomics)``."""
+        """Yield ``(array, step, indices, wavefronts, writes, atomics, threads)``."""
         for (array, step), b in sorted(self._buckets.items()):
             idx = np.concatenate(b.indices)
             tid = np.concatenate(b.threads)
@@ -203,7 +208,7 @@ def detect_races(
 
     The conflict rule itself (same element + same step + ≥2 wavefronts
     + ≥1 write + not all-atomic) is the shared
-    :func:`repro.check.concurrency.classify_element` definition — the
+    :func:`repro.check.concurrency.classify_bucket` definition — the
     static verifier proves against the same rule. Findings on arrays
     in ``expected_racy`` are kept but marked ``expected`` — the
     caller's proof is "every race is expected".
@@ -215,41 +220,37 @@ def detect_races(
     findings: list[RaceFinding] = []
     per_array: dict[str, int] = {} if counts_out is None else counts_out
     for array, step, idx, wf, wr, at, tid in log.buckets():
-        order = np.argsort(idx, kind="stable")
-        idx, wf, wr, at, tid = idx[order], wf[order], wr[order], at[order], tid[order]
-        group_starts = np.flatnonzero(np.r_[True, np.diff(idx) != 0])
-        group_ends = np.r_[group_starts[1:], idx.size]
-        for s, e in zip(group_starts, group_ends, strict=True):
-            if e - s < 2:
-                continue
-            conflict = classify_element(wf[s:e], wr[s:e], at[s:e])
-            if conflict is None:
-                continue
-            count = per_array.get(array, 0)
-            per_array[array] = count + 1
-            if count >= max_findings_per_array:
-                continue
+        racy = classify_bucket(idx, wf, wr, at)
+        if not racy.starts.size:
+            continue
+        count = per_array.get(array, 0)
+        per_array[array] = count + racy.starts.size
+        keep = min(racy.starts.size, max_findings_per_array - count)
+        for k in range(keep):
+            s, size = int(racy.starts[k]), int(racy.sizes[k])
+            # the element's first accesses, in the order they were logged
+            first = np.sort(racy.order[s : s + size])[:4]
             samples = tuple(
                 Access(
                     array=array,
-                    index=int(idx[s + j]),
-                    kind="w" if wr[s + j] else "r",
-                    thread=int(tid[s + j]),
-                    wavefront=int(wf[s + j]),
+                    index=int(idx[j]),
+                    kind="w" if wr[j] else "r",
+                    thread=int(tid[j]),
+                    wavefront=int(wf[j]),
                     step=step,
-                    atomic=bool(at[s + j]),
+                    atomic=bool(at[j]),
                 )
-                for j in range(min(4, e - s))
+                for j in first
             )
             findings.append(
                 RaceFinding(
                     array=array,
-                    index=int(idx[s]),
+                    index=int(idx[first[0]]),
                     step=step,
                     step_name=log.step_names[step],
-                    num_accesses=int(e - s),
-                    num_wavefronts=conflict.num_wavefronts,
-                    has_write_write=conflict.has_write_write,
+                    num_accesses=size,
+                    num_wavefronts=int(racy.num_wavefronts[k]),
+                    has_write_write=bool(racy.has_write_write[k]),
                     expected=array in expected_racy,
                     samples=samples,
                 )
@@ -259,7 +260,7 @@ def detect_races(
 
 @dataclass
 class RaceScan:
-    """Outcome of replaying one algorithm under the access log."""
+    """Outcome of running one algorithm's kernels under the access log."""
 
     algorithm: str
     findings: list[RaceFinding]
@@ -304,217 +305,103 @@ class RaceScan:
 
 
 # ----------------------------------------------------------------------
-# algorithm replays
+# the access-logging launcher
 # ----------------------------------------------------------------------
-#
-# Each replay runs the *actual* algorithm loop — identical numpy
-# primitives, identical seeds, identical resulting colors — while
-# narrating the kernels' logical access pattern into the log. Thread
-# assignment mirrors the thread-per-vertex mapping: thread i of a
-# launch owns the i-th element of the kernel's active array.
 
 
-def _log_neighbor_scan(
-    log: AccessLog,
-    graph: CSRGraph,
-    verts: np.ndarray,
-    threads: np.ndarray,
-    read_arrays: tuple[str, ...],
-) -> None:
-    """Log each vertex-thread reading its CSR row and neighbor state."""
-    indptr = graph.indptr
-    counts = (indptr[verts + 1] - indptr[verts]).astype(np.int64)
-    log.read("indptr", verts, threads)
-    starts = indptr[verts]
-    flat = _row_entries(starts, counts)
-    owner_threads = np.repeat(threads, counts)
-    log.read("indices", flat, owner_threads)
-    nbrs = graph.indices[flat].astype(np.int64)
-    for name in read_arrays:
-        log.read(name, nbrs, owner_threads)
+class _LoggedArray:
+    """A global array that notes every element access of the running thread.
+
+    Each access appends its index and a code (``2 * slot`` read,
+    ``2 * slot + 1`` write) to launch-wide lists; the launcher marks
+    where each thread's accesses end. Reads come from ``values``, a list
+    mirror shared by all parameters bound to the array and updated with
+    each stored value: a list read costs a third of a NumPy scalar read.
+    """
+
+    __slots__ = ("_array", "_values", "_read", "_write", "_index", "_kind")
+
+    def __init__(self, array: np.ndarray, values: list, slot: int, indices: list, kinds: list):
+        self._array = array
+        self._values = values
+        self._read, self._write = 2 * slot, 2 * slot + 1
+        self._index = indices.append
+        self._kind = kinds.append
+
+    def __getitem__(self, i: Any) -> Any:
+        self._index(i)
+        self._kind(self._read)
+        return self._values[i]
+
+    def __setitem__(self, i: Any, value: Any) -> None:
+        self._index(i)
+        self._kind(self._write)
+        self._array[i] = value
+        self._values[i] = self._array[i].item()
 
 
-def _row_entries(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Flat CSR entry positions for rows given by (start, count)."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.repeat(np.r_[0, np.cumsum(counts)[:-1]], counts)
-    within = np.arange(total, dtype=np.int64) - offsets
-    return np.repeat(starts, counts) + within
+class AccessLoggingLauncher:
+    """Run each kernel spec once per thread, logging its array accesses.
 
+    Same ``launch`` protocol and thread order as
+    :class:`~repro.coloring.interp.ThreadLauncher`. Every global array
+    parameter is wrapped so each element read/write is recorded. Each
+    launch opens a new ``log`` step (launches are sync edges) named
+    ``<kernel>#<n>``, and its accesses go into it in bulk once the last
+    thread has run. Arrays in the spec's ``atomic_arrays`` are logged
+    atomic; wavefront-local arrays are not logged. Logical arrays named
+    in ``inplace`` are one physical buffer, so ``colors_in``/
+    ``colors_out`` are logged as ``colors`` there and under their own
+    names otherwise. Thread ids are ``tid`` for thread kernels and
+    ``wid * wavefront_size + lane`` for wavefront kernels.
+    """
 
-def _scan_jones_plassmann(
-    graph: CSRGraph, log: AccessLog, *, seed: int, max_rounds: int
-) -> np.ndarray:
-    from ..coloring.priorities import make_priorities
+    def __init__(self, log: AccessLog, *, inplace: frozenset[str] = frozenset()):
+        self.log = log
+        self.inplace = inplace
 
-    n = graph.num_vertices
-    colors = np.full(n, UNCOLORED, dtype=np.int64)
-    priorities = make_priorities(graph, "random", seed=seed)
-    uncolored = np.ones(n, dtype=bool)
-    rounds = 0
-    while uncolored.any() and rounds < max_rounds:
-        active = np.flatnonzero(uncolored)
-        threads = np.arange(active.size, dtype=np.int64)
-        # Kernel A: winner detection — read own + neighbor priorities.
-        _log_neighbor_scan(log, graph, active, threads, ("priorities", "colors"))
-        log.read("priorities", active, threads)
-        pr_hi = np.where(uncolored, priorities, -np.inf)
-        winners = uncolored & (priorities > neighbor_max(graph, pr_hi))
-        winner_ids = np.flatnonzero(winners)
-        log.next_step(f"jp_color_round{rounds}")
-        # Kernel B: winners first-fit against *stable* neighbor colors.
-        wthreads = np.arange(winner_ids.size, dtype=np.int64)
-        _log_neighbor_scan(log, graph, winner_ids, wthreads, ("colors",))
-        colors[winner_ids] = first_fit_colors(graph, colors, winner_ids)
-        log.write("colors", winner_ids, wthreads)
-        uncolored[winner_ids] = False
-        log.next_step(f"jp_find_round{rounds + 1}")
-        rounds += 1
-    return colors
+    def launch(self, name: str, count: int, /, **params: Any) -> None:
+        kernel = DEVICE_KERNELS[name]
+        logged = [p for p in kernel.array_params if p not in kernel.local_arrays]
+        indices: list[Any] = []
+        kinds: list[int] = []
+        values = {id(params[p]): params[p].tolist() for p in logged}  # one per array
+        wrapped = {
+            p: _LoggedArray(params[p], values[id(params[p])], slot, indices, kinds)
+            for slot, p in enumerate(logged)
+        }
+        ids_given = 2 if kernel.mapping == "wavefront" else 1
+        args = [wrapped.get(p, params[p]) for p in kernel.params[ids_given:]]
+        order = launch_order(kernel, count, params)
+        ends: list[int] = []
+        fn, mark = kernel.fn, ends.append
+        for ids in order:
+            fn(*ids, *args)
+            mark(len(indices))
 
-
-def _scan_maxmin(
-    graph: CSRGraph, log: AccessLog, *, seed: int, max_rounds: int
-) -> np.ndarray:
-    from ..coloring.priorities import make_priorities
-
-    n = graph.num_vertices
-    colors = np.full(n, UNCOLORED, dtype=np.int64)
-    priorities = make_priorities(graph, "random", seed=seed)
-    uncolored = np.ones(n, dtype=bool)
-    color = 0
-    rounds = 0
-    while uncolored.any() and rounds < max_rounds:
-        active = np.flatnonzero(uncolored)
-        threads = np.arange(active.size, dtype=np.int64)
-        _log_neighbor_scan(log, graph, active, threads, ("priorities", "colors"))
-        log.read("priorities", active, threads)
-        pr = np.where(uncolored, priorities, np.nan)
-        hi = np.where(uncolored, priorities, -np.inf)
-        lo = np.where(uncolored, priorities, np.inf)
-        maxima = uncolored & (pr > neighbor_max(graph, hi))
-        minima = uncolored & (pr < neighbor_min(graph, lo)) & ~maxima
-        log.next_step(f"maxmin_assign_round{rounds}")
-        max_ids = np.flatnonzero(maxima)
-        min_ids = np.flatnonzero(minima)
-        both = np.concatenate([max_ids, min_ids])
-        bthreads = np.arange(both.size, dtype=np.int64)
-        colors[max_ids] = color
-        colors[min_ids] = color + 1
-        log.write("colors", both, bthreads)
-        uncolored[both] = False
-        color += 2
-        log.next_step(f"maxmin_find_round{rounds + 1}")
-        rounds += 1
-    return colors
-
-
-def _scan_speculative(
-    graph: CSRGraph, log: AccessLog, *, seed: int, max_rounds: int
-) -> np.ndarray:
-    n = graph.num_vertices
-    colors = np.full(n, UNCOLORED, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    priorities = rng.permutation(n)
-    edge_u, edge_v = graph.edge_array()
-    active = np.arange(n, dtype=np.int64)
-    rounds = 0
-    while active.size and rounds < max_rounds:
-        threads = np.arange(active.size, dtype=np.int64)
-        # Kernel 1 (assign): every active vertex reads its neighbors'
-        # colors and writes its own — adjacent active vertices race on
-        # ``colors`` by design; the detect kernel repairs the damage.
-        _log_neighbor_scan(log, graph, active, threads, ("colors",))
-        log.write("colors", active, threads)
-        colors[active] = first_fit_colors(graph, colors, active)
-        log.next_step(f"spec_detect_round{rounds}")
-        # Kernel 2 (detect): one thread per edge reads both endpoint
-        # colors; the lower-priority endpoint of a monochromatic edge is
-        # uncolored. Loser writes race with other edges' reads of the
-        # same vertex — still confined to ``colors``.
-        ethreads = np.arange(edge_u.size, dtype=np.int64)
-        log.read("colors", edge_u, ethreads)
-        log.read("colors", edge_v, ethreads)
-        log.read("priorities", edge_u, ethreads)
-        log.read("priorities", edge_v, ethreads)
-        same = (colors[edge_u] == colors[edge_v]) & (colors[edge_u] != UNCOLORED)
-        cu, cv = edge_u[same], edge_v[same]
-        loser_per_edge = np.where(priorities[cu] < priorities[cv], cu, cv)
-        log.write("colors", loser_per_edge, ethreads[same])
-        losers = np.unique(loser_per_edge)
-        colors[losers] = UNCOLORED
-        log.next_step(f"spec_assign_round{rounds + 1}")
-        active = losers
-        rounds += 1
-    return colors
-
-
-def _scan_edge_centric(
-    graph: CSRGraph, log: AccessLog, *, seed: int, max_rounds: int
-) -> np.ndarray:
-    from ..coloring.maxmin import compact_colors
-    from ..coloring.priorities import make_priorities
-
-    n = graph.num_vertices
-    colors = np.full(n, UNCOLORED, dtype=np.int64)
-    priorities = make_priorities(graph, "random", seed=seed)
-    edge_u, edge_v = graph.edge_array()
-    edge_u = edge_u.astype(np.int64)
-    edge_v = edge_v.astype(np.int64)
-    uncolored = np.ones(n, dtype=bool)
-    k = 0
-    while uncolored.any() and k < max_rounds:
-        # Edge-fold kernel: one thread per directed edge, O(1) work —
-        # read both endpoint states, atomically fold the far endpoint's
-        # priority into the owner's accumulator when both are active.
-        ethreads = np.arange(edge_u.size, dtype=np.int64)
-        log.read("edge_u", ethreads, ethreads)
-        log.read("edge_v", ethreads, ethreads)
-        log.read("colors", edge_u, ethreads)
-        log.read("colors", edge_v, ethreads)
-        both = uncolored[edge_u] & uncolored[edge_v]
-        fold_threads = ethreads[both]
-        log.read("priorities", edge_v[both], fold_threads)
-        log.read("acc_max", edge_u[both], fold_threads, atomic=True)
-        log.write("acc_max", edge_u[both], fold_threads, atomic=True)
-        log.read("acc_min", edge_u[both], fold_threads, atomic=True)
-        log.write("acc_min", edge_u[both], fold_threads, atomic=True)
-        pr_hi = np.where(uncolored, priorities, -np.inf)
-        pr_lo = np.where(uncolored, priorities, np.inf)
-        nbr_hi = neighbor_max(graph, pr_hi)
-        nbr_lo = neighbor_min(graph, pr_lo)
-        log.next_step(f"ec_decide_round{k}")
-        # Decide kernel: one thread per active vertex, O(1) work — each
-        # thread touches only its own element of every vertex array.
-        active = np.flatnonzero(uncolored)
-        threads = np.arange(active.size, dtype=np.int64)
-        log.read("colors", active, threads)
-        log.read("priorities", active, threads)
-        log.read("acc_max", active, threads)
-        log.read("acc_min", active, threads)
-        is_max = uncolored & (priorities > nbr_hi)
-        is_min = uncolored & (priorities < nbr_lo) & ~is_max
-        colors[is_max] = 2 * k
-        colors[is_min] = 2 * k + 1
-        newly = np.flatnonzero(is_max | is_min)
-        pos = np.searchsorted(active, newly)
-        log.write("colors", newly, threads[pos])
-        uncolored &= ~(is_max | is_min)
-        log.next_step(f"ec_fold_round{k + 1}")
-        k += 1
-    return compact_colors(colors)
-
-
-#: algorithm → replay function; each scanner's *expected-racy* arrays
-#: come from the shared ``concurrency.INPLACE_ARRAYS`` declaration.
-RACE_SCANNERS = {
-    "jp": (_scan_jones_plassmann, expected_racy("jp")),
-    "maxmin": (_scan_maxmin, expected_racy("maxmin")),
-    "speculative": (_scan_speculative, expected_racy("speculative")),
-    "edge-centric": (_scan_edge_centric, expected_racy("edge-centric")),
-}
+        self.log.next_step(f"{name}#{self.log.step}")
+        if not indices:
+            return
+        calls = np.fromiter(chain.from_iterable(order), np.int64).reshape(len(order), ids_given)
+        if ids_given == 2:  # (wid, lane)
+            calls[:, 0] = calls[:, 0] * int(params["wavefront_size"]) + calls[:, 1]
+        threads = np.repeat(calls[:, 0], np.diff(ends, prepend=0))
+        where = np.fromiter(indices, np.int64, len(indices))
+        kind = np.fromiter(kinds, np.int16, len(kinds))
+        by_kind = np.argsort(kind, kind="stable")  # keeps logged order per kind
+        where, threads = where[by_kind], threads[by_kind]
+        ends_by_code = np.cumsum(np.bincount(kind, minlength=2 * len(logged)))
+        start = 0
+        for code, end in enumerate(ends_by_code.tolist()):
+            if end > start:
+                param = logged[code // 2]
+                buffer = logical_array(param)
+                if buffer not in self.inplace:
+                    buffer = param
+                record = self.log.write if code % 2 else self.log.read
+                atomic = param in kernel.atomic_arrays
+                record(buffer, where[start:end], threads[start:end], atomic=atomic)
+            start = end
 
 
 def scan_algorithm_races(
@@ -523,24 +410,26 @@ def scan_algorithm_races(
     *,
     seed: int = 0,
     wavefront_size: int = DEFAULT_WAVEFRONT_SIZE,
-    max_rounds: int = 10_000,
     max_findings_per_array: int = 50,
 ) -> RaceScan:
-    """Replay ``algorithm`` on ``graph`` under the access log and classify.
+    """Run ``algorithm``'s kernel specs under the access log and classify.
 
-    Returns a :class:`RaceScan` whose ``ok`` property is the proof
-    obligation: every detected race must be on one of the algorithm's
-    declared expected-racy arrays (none at all for the independent-set
-    algorithms; only ``colors`` for the speculative kernel).
+    The host loop is :func:`repro.coloring.interp.run_coloring`, so
+    every GPU algorithm it drives can be scanned. Returns a
+    :class:`RaceScan` whose ``ok`` property is the proof obligation:
+    every detected race must be on one of the algorithm's declared
+    expected-racy arrays (none at all for the independent-set
+    algorithms; only ``colors`` for the speculative family).
     """
-    try:
-        replay, benign = RACE_SCANNERS[algorithm]
-    except KeyError:
+    if algorithm not in INTERP_ALGORITHMS:
         raise KeyError(
-            f"no race scanner for {algorithm!r}; known: {sorted(RACE_SCANNERS)}"
-        ) from None
+            f"no race scan for {algorithm!r}; known: {sorted(INTERP_ALGORITHMS)}"
+        )
+    benign = expected_racy(algorithm)  # exactly the in-place arrays
     log = AccessLog(wavefront_size=wavefront_size)
-    colors = replay(graph, log, seed=seed, max_rounds=max_rounds)
+    colors = run_coloring(
+        graph, algorithm, AccessLoggingLauncher(log, inplace=benign), seed=seed
+    )
     per_array: dict[str, int] = {}
     findings = detect_races(
         log,
@@ -558,7 +447,7 @@ def scan_algorithm_races(
         findings=findings,
         expected_racy=benign,
         total_accesses=log.total_accesses,
-        steps=log.step + 1,
+        steps=log.step,
         arrays=log.arrays,
         colors=colors,
         truncated=truncated,

@@ -472,14 +472,15 @@ def build_parser() -> argparse.ArgumentParser:
     c_val.add_argument("--json", action="store_true", help="emit JSON to stdout")
 
     c_races = check_sub.add_parser(
-        "races", help="simulated-race detector over algorithm replays"
+        "races", help="simulated-race detector over the kernel specs"
     )
     c_races.add_argument("graph", nargs="?", default="rmat")
     c_races.add_argument(
         "--algorithm",
         "-a",
         default="all",
-        help="race-scannable algorithm or 'all' (default)",
+        choices=["all"] + sorted(GPU_ALGORITHMS),
+        help="'all' scans every GPU algorithm's kernel specs",
     )
     c_races.add_argument("--scale", choices=SCALES, default="small")
     c_races.add_argument("--seed", type=int, default=0)
@@ -567,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-g",
         default="rmat",
         help="suite dataset or graph file for the static/dynamic "
-        "cross-check ('none' skips the dynamic replay)",
+        "cross-check ('none' skips the dynamic race scan)",
     )
     c_verify.add_argument("--scale", choices=SCALES, default="small")
     c_verify.add_argument("--seed", type=int, default=0)
@@ -604,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_lower = check_sub.add_parser(
         "lower",
         help="verified lowering of certified kernels to a typed IR "
-        "with C and numba emitters (refuses uncertified kernels)",
+        "with a C emitter (refuses uncertified kernels)",
     )
     c_lower.add_argument(
         "--kernel",
@@ -614,10 +615,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c_lower.add_argument(
         "--emit",
-        choices=("ir", "c", "numba"),
+        choices=("ir", "c"),
         default="ir",
-        help="what to print: the typed IR (default), the C translation "
-        "unit, or the numba/python source",
+        help="what to print: the typed IR (default) or the C translation "
+        "unit",
     )
     c_lower.add_argument(
         "--diff",
@@ -1424,18 +1425,12 @@ def _cmd_check_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_races(args: argparse.Namespace) -> int:
-    from .check.races import RACE_SCANNERS, scan_algorithm_races
+    from .check.races import scan_algorithm_races
 
     graph, name = _resolve_graph(args.graph, args.scale)
-    if args.algorithm == "all":
-        algorithms = sorted(RACE_SCANNERS)
-    elif args.algorithm in RACE_SCANNERS:
-        algorithms = [args.algorithm]
-    else:
-        raise SystemExit(
-            f"error: no race scanner for {args.algorithm!r}; "
-            f"known: {', '.join(sorted(RACE_SCANNERS))} or 'all'"
-        )
+    algorithms = (
+        sorted(GPU_ALGORITHMS) if args.algorithm == "all" else [args.algorithm]
+    )
     failed = 0
     items: list[dict[str, object]] = []
     for algo in algorithms:
@@ -1691,23 +1686,17 @@ def _cmd_check_verify(args: argparse.Namespace) -> int:
             continue
         reports.append(report)
 
-    # the dynamic scanners replay the thread-mapped semantics, so the
+    # the dynamic scan runs the thread-mapped kernels, so the
     # cross-check only applies under that mapping
     rows = graph_name = None
-    if args.graph != "none" and args.mapping == "thread":
-        from .check.races import RACE_SCANNERS
-
-        scannable = tuple(
-            a for a in (r.algorithm for r in reports) if a in RACE_SCANNERS
+    if args.graph != "none" and args.mapping == "thread" and reports:
+        graph, graph_name = _resolve_graph(args.graph, args.scale)
+        rows = cross_check(
+            graph,
+            algorithms=tuple(r.algorithm for r in reports),
+            seed=args.seed,
+            wavefront_size=args.wavefront_size,
         )
-        if scannable:
-            graph, graph_name = _resolve_graph(args.graph, args.scale)
-            rows = cross_check(
-                graph,
-                algorithms=scannable,
-                seed=args.seed,
-                wavefront_size=args.wavefront_size,
-            )
 
     failed = sum(1 for r in reports if not r.ok)
     disagree = sum(1 for row in rows or [] if not row.agree)
@@ -1855,7 +1844,6 @@ def _cmd_check_lower(args: argparse.Namespace) -> int:
         LoweringRefused,
         certificate_for,
         emit_c,
-        emit_python,
         lower_kernel,
         render_ir,
     )
@@ -1889,8 +1877,6 @@ def _cmd_check_lower(args: argparse.Namespace) -> int:
         if args.emit == "c":
             source, _ = emit_c(irs)
             print(source)
-        elif args.emit == "numba":
-            print(emit_python(irs))
         else:
             for ir in irs:
                 print(render_ir(ir))

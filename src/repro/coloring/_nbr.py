@@ -10,8 +10,8 @@ reductions over CSR neighbor lists and the first-fit (mex) kernel.
   NumPy directly, never an array backend.
 * The free functions at the bottom are the full-adjacency reductions
   and the first-fit kernel of
-  :class:`~repro.engine.backend.NumpyBackend`. The race-scanner replays
-  and tests call them; the algorithms call first-fit through
+  :class:`~repro.engine.backend.NumpyBackend`. Tests use them as
+  references; the algorithms call first-fit through
   ``RunContext.backend`` so a counting or timing backend can stand in.
 """
 

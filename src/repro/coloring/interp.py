@@ -13,13 +13,15 @@ against a pluggable launcher:
   their lanes in *descending* order, the serialization that is
   equivalent to lockstep for the reduction pattern the specs use
   (each step reads ``scratch[lane + step]``, written by a higher
-  lane), the same order the spec-equivalence tests execute.
-* the compiled launchers from :mod:`repro.check.flow.lower` — same
-  ``launch`` protocol, kernels run as emitted C (via cffi) or
-  emitted numba/python source.
-
-Running both and comparing final colors bit-for-bit is the
-differential proof that the lowering preserved semantics.
+  lane), the same order the spec-equivalence tests execute
+  (:func:`launch_order`).
+* the compiled launcher from :mod:`repro.check.flow.lower` — same
+  ``launch`` protocol, kernels run as emitted C (via cffi). Running it
+  and the interpreter and comparing final colors bit-for-bit is the
+  differential proof that the lowering preserved semantics.
+* the access-logging launcher from :mod:`repro.check.races` — the
+  interpreter's thread order, with every global-array access logged
+  for the dynamic race check.
 
 The host loops here mirror the vectorized modules' round structure
 (snapshot in/out buffers, sweep until no vertex is uncolored); colors
@@ -34,7 +36,7 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from .base import UNCOLORED
-from .device_kernels import DEVICE_KERNELS
+from .device_kernels import DEVICE_KERNELS, KERNEL_ALGORITHMS, DeviceKernel
 from .priorities import make_priorities
 
 __all__ = [
@@ -42,18 +44,12 @@ __all__ = [
     "KernelLauncher",
     "ThreadLauncher",
     "directed_edges",
+    "launch_order",
     "run_coloring",
 ]
 
-#: algorithms the kernel-launch driver can run to completion.
-INTERP_ALGORITHMS = (
-    "maxmin",
-    "jp",
-    "speculative",
-    "hybrid-switch",
-    "edge-centric",
-    "partitioned",
-)
+#: algorithms the kernel-launch driver can run to completion: all of them.
+INTERP_ALGORITHMS = KERNEL_ALGORITHMS
 
 DEFAULT_WAVEFRONT_SIZE = 64
 
@@ -65,21 +61,28 @@ class KernelLauncher(Protocol):
         """Run kernel ``name`` for ids ``0..count-1`` over ``params``."""
 
 
+def launch_order(
+    kernel: DeviceKernel, count: int, params: dict[str, Any]
+) -> list[tuple[int, ...]]:
+    """The id arguments of every thread of one launch, in execution order.
+
+    Thread kernels run ids ascending. Wavefront kernels run wavefronts
+    ascending and each wavefront's lanes *descending* — lockstep-
+    equivalent for the spec's reduction.
+    """
+    if kernel.mapping == "wavefront":
+        lanes = range(int(params["wavefront_size"]) - 1, -1, -1)
+        return [(wid, lane) for wid in range(count) for lane in lanes]
+    return [(tid,) for tid in range(count)]
+
+
 class ThreadLauncher:
     """Reference launcher: the Python spec, one thread at a time."""
 
     def launch(self, name: str, count: int, /, **params: Any) -> None:
         kernel = DEVICE_KERNELS[name]
-        fn = kernel.fn
-        if kernel.mapping == "wavefront":
-            wavefront_size = int(params["wavefront_size"])
-            for wid in range(count):
-                # descending lanes == lockstep for the spec's reduction
-                for lane in reversed(range(wavefront_size)):
-                    fn(wid, lane, **params)
-        else:
-            for tid in range(count):
-                fn(tid, **params)
+        for ids in launch_order(kernel, count, params):
+            kernel.fn(*ids, **params)
 
 
 def directed_edges(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:

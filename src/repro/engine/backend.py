@@ -23,8 +23,8 @@ __all__ = ["ArrayBackend", "NumpyBackend", "make_backend"]
 class ArrayBackend(Protocol):
     """The primitive surface every backend provides.
 
-    ``neighbor_reduce`` is the full-adjacency segment reduction (the
-    race-scanner replays use it; the maxmin/edge-centric/jp sweeps decide
+    ``neighbor_reduce`` is the full-adjacency segment reduction (tests
+    use it as a reference; the maxmin/edge-centric/jp sweeps decide
     local extrema from :class:`~repro.coloring._nbr.PriorityCounts`
     instead);
     ``first_fit_colors`` is the mex kernel the first-fit algorithms

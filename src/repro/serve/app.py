@@ -56,6 +56,10 @@ __all__ = [
 ]
 
 
+#: largest request body the server reads; a job spec is a few hundred bytes.
+MAX_BODY_BYTES = 1 << 20
+
+
 class ApiError(Exception):
     """An error with an HTTP status (the handler turns it into JSON)."""
 
@@ -272,7 +276,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            self.close_connection = True  # the body's extent is unknown
+            raise ApiError(400, f"Content-Length {header!r} is not a byte count")
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True  # leave the body unread
+            raise ApiError(
+                413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}

@@ -1,9 +1,9 @@
 """End-to-end tests for the verified lowering pipeline (flow.lower).
 
 Covers the S44 gate (certify-before-emit, ``LoweringRefused`` on any
-unproven obligation), the typed IR itself, and the two backends: the
-cffi-compiled C launcher and the emitted-source Python launcher must
-both produce colors bit-identical to the reference interpreter.
+unproven obligation), the typed IR itself, and the C backend: the
+cffi-compiled launcher must produce colors bit-identical to the
+reference interpreter.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ from repro.check.flow.lower import (
     certificate_for,
     compile_c,
     emit_c,
-    emit_python,
     lower_all,
     lower_kernel,
-    python_launcher,
     render_ir,
 )
 from repro.coloring.device_kernels import DEVICE_KERNELS, DeviceKernel
@@ -44,11 +42,6 @@ def _kernel(fn, *, name, grid="vertex", param_dtypes=(), mapping="thread"):
 @pytest.fixture(scope="module")
 def compiled(tmp_path_factory):
     return compile_c(tmpdir=str(tmp_path_factory.mktemp("lowered")))
-
-
-@pytest.fixture(scope="module")
-def emitted_python():
-    return python_launcher()
 
 
 class TestCertificates:
@@ -167,29 +160,6 @@ class TestEmittedC:
         graph = build("rmat", "tiny")
         want = run_coloring(graph, "maxmin", ThreadLauncher(), mapping="wavefront")
         got = run_coloring(graph, "maxmin", compiled, mapping="wavefront")
-        assert np.array_equal(want, got)
-
-
-class TestEmittedPython:
-    def test_source_shape(self):
-        source = emit_python(lower_all())
-        assert "from numba import njit" in source
-        for name in DEVICE_KERNELS:
-            assert f"def launch_{name}(" in source
-
-    @pytest.mark.parametrize("algorithm", INTERP_ALGORITHMS)
-    def test_matches_interpreter(self, emitted_python, algorithm):
-        graph = build("rmat", "tiny")
-        want = run_coloring(graph, algorithm, ThreadLauncher())
-        got = run_coloring(graph, algorithm, emitted_python)
-        assert np.array_equal(want, got)
-
-    def test_numba_jit_compiles(self):
-        pytest.importorskip("numba")
-        launcher = python_launcher()
-        graph = build("grid2d", "tiny")
-        want = run_coloring(graph, "jp", ThreadLauncher())
-        got = run_coloring(graph, "jp", launcher)
         assert np.array_equal(want, got)
 
 

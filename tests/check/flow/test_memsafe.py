@@ -210,11 +210,21 @@ class TestCrossCheck:
             "jp",
             "maxmin",
             "speculative",
+            "hybrid-switch",
             "edge-centric",
+            "partitioned",
         }
         for row in rows:
             assert row.sound, row.to_dict()
             assert row.agree, row.to_dict()
+
+    @pytest.mark.parametrize("algorithm", ["hybrid-switch", "partitioned"])
+    def test_speculative_family_rows_have_dynamic_evidence(self, small_skewed, algorithm):
+        (row,) = cross_check(small_skewed, algorithms=(algorithm,), seed=0)
+        assert row.static_may_race == ("colors",)
+        assert row.dynamic_racy == ("colors",)
+        assert row.dynamic_findings > 0
+        assert row.agree
 
     def test_speculative_row_has_dynamic_evidence(self, small_skewed):
         (row,) = cross_check(small_skewed, algorithms=("speculative",), seed=0)

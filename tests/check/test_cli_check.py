@@ -64,7 +64,9 @@ class TestCheckRaces:
         rc = main(["check", "races", "rmat", "--scale", "tiny"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "races:jp" in out and "races:speculative" in out
+        for algo in ("jp", "maxmin", "speculative", "hybrid-switch",
+                     "edge-centric", "partitioned"):
+            assert f"races:{algo}: ok" in out
 
     def test_details_flag(self, capsys):
         rc = main(
@@ -270,6 +272,11 @@ class TestCheckVerify:
         for algo in ("maxmin", "jp", "speculative", "edge-centric"):
             assert f"verify:{algo}" in out
         assert "cross-check on rmat" in out
+        for algo in ("hybrid-switch", "partitioned"):
+            assert (
+                f"  {algo}: static may-race ['colors'] vs dynamic ['colors']" in out
+            )
+        assert "DISAGREE" not in out
         assert "repro verify:" in out and "ok" in out
 
     def test_single_algorithm_json(self, capsys):
@@ -364,13 +371,6 @@ class TestCheckLower:
         assert "static void maxmin_sweep(" in out
         assert "void launch_ec_decide(" in out
         assert "(int64_t)" in out  # an explicit widening cast survived
-
-    def test_emit_numba_text(self, capsys):
-        rc = main(["check", "lower", "--emit", "numba"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "from numba import njit" in out
-        assert "def launch_jp_sweep(" in out
 
     def test_json_envelope(self, capsys):
         rc = main(["check", "lower", "--json"])

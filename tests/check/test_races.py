@@ -2,20 +2,30 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.check.races import (
-    RACE_SCANNERS,
+    Access,
     AccessLog,
+    AccessLoggingLauncher,
+    RaceFinding,
     detect_races,
     scan_algorithm_races,
 )
 from repro.check.validators import validate_coloring
+from repro.coloring import device_kernels
+from repro.coloring.base import UNCOLORED
 from repro.coloring.edge_centric import edge_centric_maxmin
+from repro.coloring.interp import INTERP_ALGORITHMS, ThreadLauncher, run_coloring
 from repro.coloring.jones_plassmann import jones_plassmann_coloring
 from repro.coloring.speculative import speculative_coloring
 from repro.graphs import generators as gen
+from repro.harness.suite import build
 
 
 class TestAccessLog:
@@ -107,6 +117,73 @@ class TestDetectRaces:
         assert len(findings) == 2
         assert counts["a"] == 5
 
+    @given(
+        log=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b"]),  # array
+                st.integers(0, 5),  # element
+                st.integers(0, 9),  # thread (wavefront size 2 below)
+                st.booleans(),  # write
+                st.booleans(),  # atomic
+                st.booleans(),  # a kernel-launch sync edge before this access
+            ),
+            max_size=60,
+        ),
+        cap=st.integers(0, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_element_reference(self, log, cap):
+        access_log = AccessLog(wavefront_size=2)
+        for array, index, thread, write, atomic, sync in log:
+            if sync:
+                access_log.next_step()
+            record = access_log.write if write else access_log.read
+            record(array, np.array([index]), np.array([thread]), atomic=atomic)
+        counts: dict[str, int] = {}
+        got = detect_races(
+            access_log,
+            expected_racy={"a"},
+            max_findings_per_array=cap,
+            counts_out=counts,
+        )
+        want, want_counts = _reference_findings(log, cap)
+        assert got == want
+        assert counts == want_counts
+
+
+def _reference_findings(log, cap):
+    """The conflict rule applied one element at a time, in plain Python."""
+    step = 0
+    accesses: dict[tuple[str, int, int], list[Access]] = {}
+    for array, index, thread, write, atomic, sync in log:
+        step += sync
+        accesses.setdefault((array, step, index), []).append(
+            Access(array, index, "w" if write else "r", thread, thread // 2, step, atomic)
+        )
+    findings, counts = [], {}
+    for (array, step, index), group in sorted(accesses.items()):
+        wavefronts = {a.wavefront for a in group}
+        writers = {a.wavefront for a in group if a.kind == "w"}
+        if not writers or len(wavefronts) < 2 or all(a.atomic for a in group):
+            continue
+        counts[array] = counts.get(array, 0) + 1
+        if counts[array] > cap:
+            continue
+        findings.append(
+            RaceFinding(
+                array=array,
+                index=index,
+                step=step,
+                step_name=f"step{step}",
+                num_accesses=len(group),
+                num_wavefronts=len(wavefronts),
+                has_write_write=len(writers) >= 2,
+                expected=array == "a",
+                samples=tuple(group[:4]),
+            )
+        )
+    return findings, counts
+
 
 class TestAlgorithmScans:
     def test_jones_plassmann_is_race_free(self, small_skewed):
@@ -147,7 +224,7 @@ class TestAlgorithmScans:
         real = speculative_coloring(small_skewed, None, seed=seed)
         assert np.array_equal(scan.colors, real.colors)
 
-    @pytest.mark.parametrize("algorithm", sorted(RACE_SCANNERS))
+    @pytest.mark.parametrize("algorithm", sorted(INTERP_ALGORITHMS))
     def test_replayed_colorings_are_proper(self, small_skewed, algorithm):
         scan = scan_algorithm_races(small_skewed, algorithm, seed=1)
         assert validate_coloring(small_skewed, scan.colors).ok
@@ -168,3 +245,92 @@ class TestAlgorithmScans:
         scan = scan_algorithm_races(small_skewed, "edge-centric", seed=seed)
         real = edge_centric_maxmin(small_skewed, None, seed=seed)
         assert np.array_equal(scan.colors, real.colors)
+
+    @pytest.mark.parametrize("algorithm", ["hybrid-switch", "partitioned"])
+    def test_speculative_family_races_confined_to_colors(self, small_skewed, algorithm):
+        scan = scan_algorithm_races(small_skewed, algorithm, seed=0)
+        assert scan.ok
+        assert scan.racy_arrays == ["colors"]
+
+    def test_racy_kernel_variant_is_caught(self, small_skewed, monkeypatch):
+        # a jp sweep that also stamps its neighbors' output colors: the
+        # writes collide across wavefronts, so the scan must not pass it
+        def jp_sweep(tid, indptr, indices, priorities, colors_in, colors_out):
+            if colors_in[tid] != UNCOLORED:
+                return
+            device_kernels.jp_sweep(
+                tid, indptr, indices, priorities, colors_in, colors_out
+            )
+            for e in range(indptr[tid], indptr[tid + 1]):
+                u = indices[e]
+                colors_out[u] = colors_out[u]
+
+        spec = dataclasses.replace(device_kernels.DEVICE_KERNELS["jp_sweep"], fn=jp_sweep)
+        monkeypatch.setitem(device_kernels.DEVICE_KERNELS, "jp_sweep", spec)
+        scan = scan_algorithm_races(small_skewed, "jp", seed=0)
+        assert not scan.ok
+        assert scan.unexpected
+        assert scan.racy_arrays == ["colors_out"]
+
+
+class TestAccessLoggingLauncher:
+    @pytest.mark.parametrize("algorithm", INTERP_ALGORITHMS)
+    def test_matches_interpreter(self, algorithm):
+        graph = build("rmat", "tiny")
+        want = run_coloring(graph, algorithm, ThreadLauncher())
+        got = run_coloring(graph, algorithm, AccessLoggingLauncher(AccessLog()))
+        assert np.array_equal(want, got)
+
+    def test_wavefront_kernel_logs_wavefront_threads(self, small_skewed):
+        log = AccessLog(wavefront_size=64)
+        launcher = AccessLoggingLauncher(log)
+        want = run_coloring(small_skewed, "maxmin", ThreadLauncher(), mapping="wavefront")
+        got = run_coloring(small_skewed, "maxmin", launcher, mapping="wavefront")
+        assert np.array_equal(want, got)
+        # thread wid * 64 + lane is in wavefront wid, which owns vertex wid
+        for array, _, idx, wf, wr, _, _ in log.buckets():
+            if array == "colors_out":
+                assert np.array_equal(idx[wr], wf[wr])
+        assert "scratch_max" not in log.arrays  # wavefront-local, not logged
+        assert detect_races(log) == []
+
+    def test_inplace_snapshot_pair_is_one_buffer(self, triangle):
+        separate, shared = AccessLog(), AccessLog()
+        run_coloring(triangle, "jp", AccessLoggingLauncher(separate))
+        run_coloring(
+            triangle, "jp", AccessLoggingLauncher(shared, inplace=frozenset({"colors"}))
+        )
+        assert {"colors_in", "colors_out"} <= set(separate.arrays)
+        assert "colors" in shared.arrays and "colors_in" not in shared.arrays
+        assert shared.total_accesses == separate.total_accesses
+
+    def test_one_array_under_two_names_stays_one_array(self, path5):
+        # in place on a path, first-fit sees each left neighbor's new color
+        def run(launcher):
+            colors = np.full(5, UNCOLORED, dtype=np.int64)
+            launcher.launch(
+                "spec_assign", 5, indptr=path5.indptr, indices=path5.indices,
+                colors_in=colors, colors_out=colors,
+            )
+            return colors
+
+        assert run(ThreadLauncher()).tolist() == [0, 1, 0, 1, 0]
+        assert run(AccessLoggingLauncher(AccessLog())).tolist() == [0, 1, 0, 1, 0]
+
+    def test_atomic_arrays_are_tagged(self, triangle):
+        log = AccessLog()
+        run_coloring(triangle, "edge-centric", AccessLoggingLauncher(log))
+        tags: dict[tuple[str, str], set[bool]] = {}
+        for array, step, _, _, _, at, _ in log.buckets():
+            kernel = log.step_names[step].split("#")[0]
+            tags.setdefault((kernel, array), set()).update(at.tolist())
+        assert tags[("ec_edge_fold", "acc_max")] == {True}
+        assert tags[("ec_edge_fold", "acc_min")] == {True}
+        assert tags[("ec_edge_fold", "priorities")] == {False}
+        assert tags[("ec_decide", "acc_max")] == {False}  # read outside the fold
+
+    def test_each_launch_is_a_step(self, triangle):
+        log = AccessLog()
+        run_coloring(triangle, "jp", AccessLoggingLauncher(log))
+        assert log.step == 3  # one jp sweep per vertex of K3
+        assert log.step_names[1:] == ["jp_sweep#0", "jp_sweep#1", "jp_sweep#2"]

@@ -6,6 +6,7 @@ path ``repro serve`` / ``repro job`` exercise, minus the CLI shim.
 """
 
 import json
+import socket
 import threading
 
 import pytest
@@ -18,6 +19,7 @@ from repro.serve import (
     make_unix_server,
     new_job_id,
 )
+from repro.serve.app import MAX_BODY_BYTES
 from repro.serve.executor import DELAY_ENV
 from repro.serve.model import normalize_spec, spec_digest
 from repro.store.db import RunStore
@@ -319,3 +321,36 @@ class TestUnixSocket:
         server = make_unix_server(app, sock)
         server.server_close()
         app.close()
+
+
+class TestRequestBodyLimits:
+    """``Content-Length`` is parsed and bounded before any body is read."""
+
+    @staticmethod
+    def _post_raw(client, content_length: str) -> bytes:
+        with socket.create_connection((client.host, client.port), timeout=1.0) as sock:
+            sock.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: " + content_length.encode() + b"\r\n\r\n"
+            )
+            reply = b""
+            while chunk := sock.recv(65536):  # the server closes after replying
+                reply += chunk
+        return reply
+
+    @pytest.mark.parametrize(
+        ("content_length", "status"),
+        [("abc", 400), ("-1", 400), ("100000000000", 413)],
+    )
+    def test_bad_content_length_is_refused(self, served, content_length, status):
+        _, client, _ = served
+        reply = self._post_raw(client, content_length)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b" ", 2)[1] == str(status).encode()
+        assert "error" in json.loads(body)
+
+    def test_limit_allows_a_normal_submit(self, served):
+        _, client, _ = served
+        assert len(json.dumps(COLOR)) < MAX_BODY_BYTES
+        assert client.submit(COLOR)["deduped"] is False
