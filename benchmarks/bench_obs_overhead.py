@@ -31,7 +31,7 @@ def _run(traced):
     ring = ctx.enable_tracing() if traced else None
     executor = ctx.executor(mapping="thread", schedule="stealing")
     graph = build(DATASET, SCALE)
-    run_gpu_coloring(graph, ALGORITHM, executor, seed=0, context=ctx)  # warm plans
+    run_gpu_coloring(graph, ALGORITHM, executor, seed=0, context=ctx)  # warm-up run
     times = []
     result = None
     for _ in range(REPEATS):

@@ -19,7 +19,7 @@ Public surface (also importable from the subpackages):
 
 * :mod:`repro.graphs` — CSR graphs, generators, I/O, statistics
 * :mod:`repro.gpusim` — the SIMT device/timing model
-* :mod:`repro.engine` — run context, array backends, cached plans
+* :mod:`repro.engine` — run context, array backends, execution plans
 * :mod:`repro.coloring` — CPU references + simulated GPU algorithms
 * :mod:`repro.loadbalance` — partitioning, dynamic fetch, work stealing
 * :mod:`repro.harness` — the dataset suite and run helpers
@@ -48,7 +48,6 @@ from .coloring import (
 from .engine import (
     ArrayBackend,
     ExecutionPlan,
-    PlanCache,
     RunContext,
     make_backend,
     resolve_context,
@@ -110,7 +109,6 @@ __all__ = [
     # engine
     "ArrayBackend",
     "ExecutionPlan",
-    "PlanCache",
     "RunContext",
     "make_backend",
     "resolve_context",

@@ -36,7 +36,7 @@ Surfaced through ``repro check
 ``--validate`` flag on ``color``/runner/batch.
 """
 
-from .concurrency import INPLACE_ARRAYS, classify_bucket, expected_racy
+from .concurrency import INPLACE_ARRAYS, classify_bucket, expected_racy, inplace_arrays
 from .determinism import (
     DriftReport,
     RunDigest,
@@ -107,6 +107,7 @@ __all__ = [
     "expected_racy",
     "digest_result",
     "golden_digests",
+    "inplace_arrays",
     "lint_paths",
     "lint_source",
     "load_golden",

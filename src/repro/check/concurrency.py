@@ -22,11 +22,11 @@ single definition both consume, so the two layers cannot drift:
 * **The conflict rule** itself: same element, same step, ≥2 distinct
   wavefronts, at least one write, not all-atomic
   (:func:`classify_bucket`).
-* **In-place arrays.** Which algorithms deliberately run kernels
-  in-place over shared state (:data:`INPLACE_ARRAYS`). The dynamic
-  layer derives its *expected-racy* declarations from this table; both
-  layers derive the physical aliasing of ``colors_in``/``colors_out``
-  from it and :func:`logical_array`.
+* **In-place arrays.** Which kernel specs deliberately run in place
+  over shared state (:data:`INPLACE_ARRAYS`). Both layers derive each
+  launch's physical aliasing of ``colors_in``/``colors_out`` from it
+  and :func:`logical_array`, and an algorithm's *expected-racy*
+  arrays are those of its in-place kernels (:func:`expected_racy`).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "INPLACE_ARRAYS",
     "classify_bucket",
     "expected_racy",
+    "inplace_arrays",
     "logical_array",
     "wavefront_of",
 ]
@@ -48,30 +49,49 @@ __all__ = [
 #: lanes per wavefront in the simulated machine model (GCN Tahiti).
 DEFAULT_WAVEFRONT_SIZE = 64
 
-#: algorithm → logical arrays its kernels mutate *in place* while other
+#: kernel spec → logical arrays it mutates *in place* while other
 #: threads of the same launch read them. In-place sharing is the one
-#: way a spec can race by design: the speculative family first-fits
-#: against a snapshot its neighbors are concurrently overwriting and
-#: repairs the damage in a detect pass. Independent-set algorithms
-#: double-buffer (``colors_in``/``colors_out``) and stay race-free.
+#: way a spec can race by design: the speculative kernels first-fit
+#: against a snapshot their neighbors are concurrently overwriting and
+#: repair the damage in a detect pass. The independent-set sweeps
+#: double-buffer (``colors_in``/``colors_out``) and stay race-free, also
+#: as the max-min phase of hybrid-switch.
 INPLACE_ARRAYS: dict[str, frozenset[str]] = {
-    "jp": frozenset(),
-    "maxmin": frozenset(),
-    "edge-centric": frozenset(),
-    "speculative": frozenset({"colors"}),
-    "hybrid-switch": frozenset({"colors"}),
-    "partitioned": frozenset({"colors"}),
+    "maxmin_sweep": frozenset(),
+    "maxmin_wavefront_sweep": frozenset(),
+    "jp_sweep": frozenset(),
+    "spec_assign": frozenset({"colors"}),
+    "spec_detect": frozenset({"colors"}),
+    "ec_edge_fold": frozenset(),
+    "ec_decide": frozenset(),
 }
+
+
+def inplace_arrays(kernel: str) -> frozenset[str]:
+    """The logical arrays kernel spec ``kernel`` updates in place.
+
+    Unknown kernels get the safe default: none, so every snapshot pair
+    stays two buffers and a same-launch race on it is reported.
+    """
+    return INPLACE_ARRAYS.get(kernel, frozenset())
 
 
 def expected_racy(algorithm: str) -> frozenset[str]:
     """Arrays on which races are *by design* for ``algorithm``.
 
-    Exactly the in-place arrays: racing requires same-launch writers
-    and readers of one physical buffer, which only in-place kernels
-    have. Unknown algorithms get the safe default (nothing expected).
+    Exactly the in-place arrays of its kernels: racing requires
+    same-launch writers and readers of one physical buffer, which only
+    in-place kernels have. Unknown algorithms get the safe default
+    (nothing expected).
     """
-    return INPLACE_ARRAYS.get(algorithm, frozenset())
+    from ..coloring.device_kernels import DEVICE_KERNELS
+
+    return frozenset(
+        array
+        for k in DEVICE_KERNELS.values()
+        if algorithm in k.algorithms
+        for array in inplace_arrays(k.name)
+    )
 
 
 def wavefront_of(threads: np.ndarray, wavefront_size: int) -> np.ndarray:
@@ -83,8 +103,8 @@ def logical_array(name: str) -> str:
     """Spec parameter → logical array: a snapshot pair shares one name.
 
     ``colors_in``/``colors_out`` are the two buffers of one logical
-    ``colors``; for an algorithm whose :data:`INPLACE_ARRAYS` entry
-    names ``colors`` they are one physical buffer.
+    ``colors``; in a kernel whose :data:`INPLACE_ARRAYS` entry names
+    ``colors`` they are one physical buffer.
     """
     if name in ("colors_in", "colors_out"):
         return "colors"

@@ -29,7 +29,7 @@ The may-happen-in-parallel model is the one the dynamic layer's
 ``AccessLog`` enforces, imported from the shared
 :mod:`repro.check.concurrency` definition: kernel launches are sync
 edges, intra-wavefront interleavings are lockstep-exempt, all-atomic
-contention is ordered, and the per-algorithm in-place declarations
+contention is ordered, and the per-kernel in-place declarations
 (``INPLACE_ARRAYS``) decide whether ``colors_in``/``colors_out``
 alias one physical buffer. :func:`cross_check` closes the loop: for
 every GPU algorithm, the statically ``may-race`` arrays must cover
@@ -50,7 +50,7 @@ from ...coloring.device_kernels import (
     kernel_ast,
     kernels_for,
 )
-from ..concurrency import DEFAULT_WAVEFRONT_SIZE, expected_racy, logical_array
+from ..concurrency import DEFAULT_WAVEFRONT_SIZE, inplace_arrays, logical_array
 from .regions import (
     Bounder,
     IVal,
@@ -808,18 +808,23 @@ def verify_kernels(
     *,
     algorithm: str = "custom",
     mapping: str = "thread",
-    inplace: frozenset[str] = frozenset(),
+    inplace: frozenset[str] | None = None,
     wavefront_size: int = DEFAULT_WAVEFRONT_SIZE,
 ) -> AlgorithmMemReport:
     """Verify a kernel set as one algorithm iteration.
 
-    ``inplace`` names the logical arrays whose snapshot pair
-    (``colors_in``/``colors_out``) aliases one physical buffer — the
-    static meaning of the shared ``INPLACE_ARRAYS`` declaration. For
-    everything else one launch is a pure function of its inputs, so
-    same-launch reads and writes of a snapshot pair target different
-    buffers and conflict only across sync edges.
+    Each kernel's entry in the shared ``INPLACE_ARRAYS`` declaration
+    (or ``inplace`` for every kernel, when given) names the logical
+    arrays whose snapshot pair (``colors_in``/``colors_out``) aliases
+    one physical buffer in its launches. For everything else one launch
+    is a pure function of its inputs, so same-launch reads and writes
+    of a snapshot pair target different buffers and conflict only
+    across sync edges. The report expects races on exactly the in-place
+    arrays.
     """
+    declared = {
+        k.name: inplace_arrays(k.name) if inplace is None else inplace for k in kernels
+    }
     reports = [verify_kernel(k, wavefront_size=wavefront_size) for k in kernels]
     by_logical: dict[str, list[AccessSite]] = {}
     for report in reports:
@@ -832,7 +837,8 @@ def verify_kernels(
         touched = tuple(dict.fromkeys(s.kernel for s in sites))
         buffers: dict[tuple[str, str], list[AccessSite]] = {}
         for site in sites:
-            key = (site.kernel, logical if logical in inplace else site.array)
+            in_place = logical in declared[site.kernel]
+            key = (site.kernel, logical if in_place else site.array)
             buffers.setdefault(key, []).append(site)
         verdict, reason, witness = "race-free", "never accessed", None
         for index, buffer_sites in enumerate(buffers.values()):
@@ -864,7 +870,7 @@ def verify_kernels(
         mapping=mapping,
         kernels=reports,
         arrays=verdicts,
-        expected_racy=inplace,
+        expected_racy=frozenset(a for arrays in declared.values() for a in arrays),
     )
 
 
@@ -877,11 +883,7 @@ def verify_algorithm(
     """Static verdicts for one GPU algorithm's registered kernel specs."""
     kernels = kernels_for(algorithm, mapping=mapping)
     return verify_kernels(
-        kernels,
-        algorithm=algorithm,
-        mapping=mapping,
-        inplace=expected_racy(algorithm),
-        wavefront_size=wavefront_size,
+        kernels, algorithm=algorithm, mapping=mapping, wavefront_size=wavefront_size
     )
 
 

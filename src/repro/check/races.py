@@ -47,6 +47,7 @@ from .concurrency import (
     DEFAULT_WAVEFRONT_SIZE,
     classify_bucket,
     expected_racy,
+    inplace_arrays,
     logical_array,
     wavefront_of,
 )
@@ -349,14 +350,16 @@ class AccessLoggingLauncher:
     launch opens a new ``log`` step (launches are sync edges) named
     ``<kernel>#<n>``, and its accesses go into it in bulk once the last
     thread has run. Arrays in the spec's ``atomic_arrays`` are logged
-    atomic; wavefront-local arrays are not logged. Logical arrays named
-    in ``inplace`` are one physical buffer, so ``colors_in``/
-    ``colors_out`` are logged as ``colors`` there and under their own
-    names otherwise. Thread ids are ``tid`` for thread kernels and
-    ``wid * wavefront_size + lane`` for wavefront kernels.
+    atomic; wavefront-local arrays are not logged. The logical arrays a
+    kernel updates in place (its
+    :data:`~repro.check.concurrency.INPLACE_ARRAYS` entry, or
+    ``inplace`` for every kernel when given) are one physical buffer, so
+    ``colors_in``/``colors_out`` are logged as ``colors`` there and
+    under their own names otherwise. Thread ids are ``tid`` for thread
+    kernels and ``wid * wavefront_size + lane`` for wavefront kernels.
     """
 
-    def __init__(self, log: AccessLog, *, inplace: frozenset[str] = frozenset()):
+    def __init__(self, log: AccessLog, *, inplace: frozenset[str] | None = None):
         self.log = log
         self.inplace = inplace
 
@@ -382,6 +385,7 @@ class AccessLoggingLauncher:
         self.log.next_step(f"{name}#{self.log.step}")
         if not indices:
             return
+        inplace = inplace_arrays(name) if self.inplace is None else self.inplace
         calls = np.fromiter(chain.from_iterable(order), np.int64).reshape(len(order), ids_given)
         if ids_given == 2:  # (wid, lane)
             calls[:, 0] = calls[:, 0] * int(params["wavefront_size"]) + calls[:, 1]
@@ -396,7 +400,7 @@ class AccessLoggingLauncher:
             if end > start:
                 param = logged[code // 2]
                 buffer = logical_array(param)
-                if buffer not in self.inplace:
+                if buffer not in inplace:
                     buffer = param
                 record = self.log.write if code % 2 else self.log.read
                 atomic = param in kernel.atomic_arrays
@@ -425,11 +429,9 @@ def scan_algorithm_races(
         raise KeyError(
             f"no race scan for {algorithm!r}; known: {sorted(INTERP_ALGORITHMS)}"
         )
-    benign = expected_racy(algorithm)  # exactly the in-place arrays
+    benign = expected_racy(algorithm)  # exactly its kernels' in-place arrays
     log = AccessLog(wavefront_size=wavefront_size)
-    colors = run_coloring(
-        graph, algorithm, AccessLoggingLauncher(log, inplace=benign), seed=seed
-    )
+    colors = run_coloring(graph, algorithm, AccessLoggingLauncher(log), seed=seed)
     per_array: dict[str, int] = {}
     findings = detect_races(
         log,

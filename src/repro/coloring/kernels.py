@@ -3,12 +3,12 @@
 This module is the bridge between the *algorithms* (which operate on
 real graph data and produce real colorings) and the *simulator* (which
 charges time). Each iteration of an iterative coloring algorithm hands
-the engine its active vertex set; the engine looks up (or builds) the
-corresponding :class:`~repro.engine.plan.ExecutionPlan` under a chosen
-**mapping** and **schedule** and returns the simulated cycles.
+the engine its active vertex set; the engine derives the corresponding
+:class:`~repro.engine.plan.ExecutionPlan` under a chosen **mapping** and
+**schedule** and returns the simulated cycles.
 
 The work-distribution derivations themselves live in
-:mod:`repro.engine.plan` (memoized per graph × configuration), and the
+:mod:`repro.engine.plan` (one segmented pass per timing window), and the
 run-level plumbing — device, memory model, backend, counters — in
 :mod:`repro.engine.context`. What remains here is the first-order cost
 model and the :class:`GPUExecutor` adapter that dispatches plans.
@@ -45,13 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..engine.context import RunContext
-from ..engine.plan import (
-    ExecutionPlan,
-    _split,
-    as_degrees,
-    build_plans,
-    degrees_fingerprint,
-)
+from ..engine.plan import ExecutionPlan, _split, as_degrees, build_plan, build_plans
 from ..gpusim.counters import ExecutionCounters
 from ..gpusim.device import DeviceConfig
 from ..gpusim.memory import MemoryModel
@@ -119,7 +113,9 @@ class CostModel:
             self.fixed_reads * self.memory.scattered_element_cycles
             + self.fixed_alu * self.device.alu_cycles
         )
-        return fixed + d * per_nbr
+        cycles = d * per_nbr
+        cycles += fixed
+        return cycles
 
     def coop_vertex_cycles(self, degrees: np.ndarray, lanes: int | None = None) -> np.ndarray:
         """Cost of one vertex processed cooperatively by ``lanes`` lanes.
@@ -131,7 +127,10 @@ class CostModel:
         """
         lanes = lanes or self.device.wavefront_size
         d = np.asarray(degrees, dtype=np.float64)
-        steps = np.ceil(d / lanes)
+        return self.coop_stride_cycles(np.ceil(d / lanes), lanes)
+
+    def coop_stride_cycles(self, strides: np.ndarray, lanes: int) -> np.ndarray:
+        """:meth:`coop_vertex_cycles` from the ``ceil(d / lanes)`` strides."""
         per_step = (
             self.reads_per_neighbor * self.memory.streamed_element_cycles
             + self.alu_per_neighbor * self.device.alu_cycles
@@ -141,7 +140,9 @@ class CostModel:
             + self.fixed_alu * self.device.alu_cycles
             + 2.0 * np.log2(lanes) * self.device.reduce_step_cycles
         )
-        return fixed + steps * per_step
+        cycles = strides * per_step
+        cycles += fixed
+        return cycles
 
     def traffic_elements(self, degrees: np.ndarray) -> float:
         """Total 32-bit element accesses of one iteration's kernel."""
@@ -350,9 +351,8 @@ class GPUExecutor:
 
     One executor instance is reused across all iterations of a run. It
     is bound to a :class:`~repro.engine.context.RunContext`, which owns
-    the device and memory model it times on, the plan cache that
-    memoizes work distributions, and the run-level counters that
-    aggregate across every executor in the context. Build one with
+    the device and memory model it times on and the run-level counters
+    that aggregate across every executor in the context. Build one with
     :meth:`RunContext.executor <repro.engine.context.RunContext.executor>`.
 
     Host loops log their sweeps in a :class:`SweepLog` and time the
@@ -366,7 +366,6 @@ class GPUExecutor:
         self.memory = context.memory
         self.config = config or ExecutionConfig()
         self.costs = CostModel(self.device, self.memory)
-        self.plans = context.plans
         #: run-level profiling accumulated across every timed iteration;
         #: call ``counters.reset()`` to start a new measurement window.
         self.counters = ExecutionCounters()
@@ -380,39 +379,8 @@ class GPUExecutor:
     # ------------------------------------------------------------------
 
     def plan_for(self, degrees: np.ndarray) -> ExecutionPlan:
-        """The (cached) execution plan for one active-degree array."""
-        return self._plans([as_degrees(degrees)])[0]
-
-    def _plans(self, degree_arrays: list[np.ndarray]) -> list[ExecutionPlan]:
-        """Cached plans for validated degree arrays, in order.
-
-        The lookups run in order, so the cache's hits, misses and LRU
-        order are those of one :meth:`plan_for` per array. The arrays
-        the cache lacks are derived together, once per distinct content.
-        """
-        keys = [(degrees_fingerprint(d), self.config, self.costs) for d in degree_arrays]
-        missing: dict = {}
-        for key, d in zip(keys, degree_arrays, strict=True):
-            if key not in self.plans and key not in missing:
-                missing[key] = d
-        built = dict(
-            zip(
-                missing,
-                build_plans(list(missing.values()), self.config, self.costs, self.device),
-                strict=True,
-            )
-        )
-
-        def builder(key, d):
-            # a key evicted between the check above and its lookup
-            return lambda: built.get(key) or build_plans(
-                [d], self.config, self.costs, self.device
-            )[0]
-
-        return [
-            self.plans.get_or_build(key, builder(key, d))
-            for key, d in zip(keys, degree_arrays, strict=True)
-        ]
+        """The execution plan for one active-degree array."""
+        return build_plan(degrees, self.config, self.costs, self.device)
 
     def time_iteration(
         self, active_degrees: np.ndarray, *, name: str = "kernel"
@@ -448,14 +416,14 @@ class GPUExecutor:
     def time_kernels(self, kernels: Sequence[LoggedKernel]) -> list[IterationTiming]:
         """Time logged kernels in one pass, exactly as one call each would.
 
-        Returns one :class:`IterationTiming` per kernel. Counters, trace
-        events and the plan cache see the kernels one at a time, in
-        order. The pass works in windows of a bounded item count: per
-        window, plans come through the cache with every missing plan
-        derived in one batch, and grid launches get their wavefront and
-        workgroup costs from one segmented reduction each. The
-        scheduler, the persistent-schedule simulators and the sinks
-        then run kernel by kernel.
+        Returns one :class:`IterationTiming` per kernel. Counters and
+        trace events see the kernels one at a time, in order. The pass
+        works in windows of a bounded item count: per window, the plans
+        of every vertex kernel come from one segmented
+        :func:`~repro.engine.plan.build_plans` pass, and grid launches
+        get their wavefront and workgroup costs from one segmented
+        reduction each. The scheduler, the persistent-schedule
+        simulators and the sinks then run kernel by kernel.
         """
         out: list[IterationTiming] = []
         for window in _windows(kernels):
@@ -465,7 +433,12 @@ class GPUExecutor:
     def _time_window(self, kernels: list[LoggedKernel]) -> list[IterationTiming]:
         vertex = [k.degrees is not None and k.items > 0 for k in kernels]
         found = iter(
-            self._plans([k.degrees for k, v in zip(kernels, vertex, strict=True) if v])
+            build_plans(
+                [k.degrees for k, v in zip(kernels, vertex, strict=True) if v],
+                self.config,
+                self.costs,
+                self.device,
+            )
         )
         plans = [next(found) if v else None for v in vertex]
         grid = self._grid_launches(kernels, plans)
@@ -568,8 +541,10 @@ class GPUExecutor:
             flat = np.concatenate(items)
             peaks, n_wf = segmented_wavefront_costs(flat, sizes, width)
             wg, n_wg = _workgroup_costs(peaks, n_wf, wf_per_group, dev.simd_per_cu)
-            for i, c, g in zip(lanes, items, _split(wg, n_wg), strict=True):
-                eff = simd_efficiency(c, width)
+            for i, c, pk, g in zip(
+                lanes, items, _split(peaks, n_wf), _split(wg, n_wg), strict=True
+            ):
+                eff = simd_efficiency(c, width, pk)
                 out[i] = (kernels[i].name, eff, g, plans[i].traffic_elements)
         if coop:
             tasks = [plans[i].tasks for i in coop]
@@ -635,8 +610,7 @@ class GPUExecutor:
             res = simulate_dynamic_fetch(
                 chunk_cyc, workers, atomic_cycles=dev.atomic_cycles
             )
-        else:  # stealing
-            owner = self._static_owner(chunk_cyc.size, workers)
+        else:  # stealing, from the contiguous slabs
             steal_cfg = cfg.stealing or StealingConfig(
                 num_workers=workers,
                 steal_cycles=dev.steal_attempt_cycles,
@@ -645,7 +619,7 @@ class GPUExecutor:
             if steal_cfg.num_workers != workers:
                 steal_cfg = replace(steal_cfg, num_workers=workers)
             res = simulate_work_stealing(
-                chunk_cyc, owner, steal_cfg, tracer=self.context.tracer
+                chunk_cyc, None, steal_cfg, tracer=self.context.tracer
             )
         # Roofline still applies: the chunks move the same bytes.
         bw = self.memory.bandwidth_floor_cycles(plan.traffic_elements)

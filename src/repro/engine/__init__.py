@@ -1,4 +1,4 @@
-"""Execution-engine layer: run context, array backends, cached plans.
+"""Execution-engine layer: run context, array backends, execution plans.
 
 The three pieces every run is assembled from:
 
@@ -8,20 +8,15 @@ The three pieces every run is assembled from:
 * :class:`~repro.engine.backend.ArrayBackend` — the neighborhood
   primitives behind ``RunContext.backend``: one NumPy implementation,
   and a seam where a test or profiler can substitute its own.
-* :class:`~repro.engine.plan.ExecutionPlan` /
-  :class:`~repro.engine.plan.PlanCache` — memoized per-iteration work
-  distributions (degree partitions, chunk ranges, wavefront costs).
+* :class:`~repro.engine.plan.ExecutionPlan` — per-kernel work
+  distributions (degree partitions, chunk costs, wavefront costs),
+  derived a timing window at a time by
+  :func:`~repro.engine.plan.build_plans`.
 """
 
 from .backend import ArrayBackend, NumpyBackend, make_backend
 from .context import RunContext, resolve_context
-from .plan import (
-    ExecutionPlan,
-    PlanCache,
-    build_plan,
-    coop_efficiency,
-    degrees_fingerprint,
-)
+from .plan import ExecutionPlan, build_plan, coop_efficiency
 
 __all__ = [
     "ArrayBackend",
@@ -30,8 +25,6 @@ __all__ = [
     "RunContext",
     "resolve_context",
     "ExecutionPlan",
-    "PlanCache",
     "build_plan",
     "coop_efficiency",
-    "degrees_fingerprint",
 ]

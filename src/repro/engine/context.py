@@ -4,15 +4,13 @@ Before this layer existed, every entry point re-derived the same
 plumbing ad hoc: a ``DeviceConfig`` here, a fresh ``MemoryModel`` there,
 loose ``seed`` kwargs, and per-executor counters that could not be
 aggregated across a batch. :class:`RunContext` bundles that state —
-device, memory model, seed, array backend, plan cache, and the
-counter/trace sinks — so algorithms, the executor, the harness, and the
-CLI all consume one explicitly-passed object.
+device, memory model, seed, array backend, and the counter/trace
+sinks — so algorithms, the executor, the harness, and the CLI all
+consume one explicitly-passed object.
 
-Sharing matters: every executor built from the same context shares its
-:class:`~repro.engine.plan.PlanCache` (warm plans carry across batch
-cells and autotune probes) and reports into its run-level
-:class:`~repro.gpusim.counters.ExecutionCounters` on top of its own
-per-run window.
+Sharing matters: every executor built from the same context reports
+into its run-level :class:`~repro.gpusim.counters.ExecutionCounters` on
+top of its own per-run window.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from ..gpusim.memory import MemoryModel
 from ..obs.sink import DEFAULT_TRACE_CAPACITY, RingBufferSink, TeeSink
 from ..obs.tracer import Tracer
 from .backend import ArrayBackend, make_backend
-from .plan import PlanCache
 
 if TYPE_CHECKING:
     from ..coloring.kernels import ExecutionConfig, GPUExecutor
@@ -59,8 +56,6 @@ class RunContext:
     counters:
         Run-level profiling sink; every executor in the context
         aggregates into it in addition to its own per-run window.
-    plans:
-        Execution-plan cache shared by every executor in the context.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`; when attached, the
         engine, runtime simulators, scheduler, and harness emit typed
@@ -73,7 +68,6 @@ class RunContext:
     seed: int = 0
     backend: ArrayBackend | str = "numpy"
     counters: ExecutionCounters = field(default_factory=ExecutionCounters)
-    plans: PlanCache = field(default_factory=PlanCache)
     tracer: Tracer | None = None
 
     def __post_init__(self) -> None:

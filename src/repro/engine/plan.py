@@ -1,33 +1,23 @@
-"""Cached execution plans — per-iteration work distributions, memoized.
+"""Execution plans — the work distribution of each timed kernel.
 
-Timing one coloring iteration means re-deriving the same per-graph
-invariants every sweep: lane cost vectors, degree partitions (hybrid
-mapping), wavefront lockstep costs, and chunk cost vectors (persistent
-schedules). Those depend only on *(active-degree array, execution
-configuration, cost model)* — and iterative algorithms, batch sweeps,
-and repeated benchmark cells keep presenting the same triples. An
-:class:`ExecutionPlan` packages the derived arrays; a :class:`PlanCache`
-memoizes them under a content fingerprint so warm iterations skip
-straight to dispatch.
-
-The cache is exact, not approximate: the key fingerprints the degree
-bytes plus the full (hashable, frozen) ``ExecutionConfig`` and
-``CostModel``, so any change to the graph, the chunk size, the mapping,
-or the device invalidates by construction.
+Timing a kernel means deriving, from its active-degree array, the
+per-lane costs, degree partitions (hybrid mapping), wavefront lockstep
+costs or chunk costs (persistent schedules) that dispatch consumes. An
+:class:`ExecutionPlan` packages them. :func:`build_plans` derives the
+plans of a whole timing window in one segmented pass over the
+concatenated degrees; re-deriving a plan costs less than keying a memo
+of it, so nothing is cached.
 """
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..gpusim.wavefront import segmented_wavefront_costs, simd_efficiency
-from ..loadbalance.partition import chunk_costs, chunk_ranges
 
 if TYPE_CHECKING:
     from ..coloring.kernels import CostModel, ExecutionConfig
@@ -35,16 +25,13 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ExecutionPlan",
-    "PlanCache",
     "as_degrees",
     "build_plan",
     "build_plans",
     "coop_efficiency",
-    "degrees_fingerprint",
 ]
 
 
-_INT32_MIN = int(np.iinfo(np.int32).min)
 _INT32_MAX = int(np.iinfo(np.int32).max)
 
 
@@ -73,21 +60,6 @@ def as_degrees(values: np.ndarray) -> np.ndarray:
             raise ValueError("degrees must fit int64")
         return arr.astype(np.int64)
     return arr.astype(np.int32)
-
-
-def degrees_fingerprint(degrees: np.ndarray) -> tuple[int, bytes]:
-    """Content fingerprint of a degree array (size + blake2b digest).
-
-    Value-based: equal values fingerprint equal whatever the integer
-    dtype. Values that fit int32 are hashed as int32 bytes (an int32
-    array in place, with no copy); wider values as int64 bytes.
-    """
-    deg = np.ascontiguousarray(degrees)
-    if deg.dtype != np.int32:
-        deg = deg.astype(np.int64, copy=False)
-        if deg.size == 0 or (deg.min() >= _INT32_MIN and deg.max() <= _INT32_MAX):
-            deg = deg.astype(np.int32)
-    return deg.size, hashlib.blake2b(deg, digest_size=16).digest()
 
 
 def coop_efficiency(degrees: np.ndarray, lanes: int) -> float:
@@ -145,15 +117,17 @@ def build_plans(
     costs: "CostModel",
     device: "DeviceConfig",
 ) -> list[ExecutionPlan]:
-    """Derive the work distributions of several degree arrays at once.
+    """Derive the work distributions of several degree arrays in one pass.
 
-    ``degree_arrays`` hold validated degrees (see :func:`as_degrees`).
-    The element-wise cost laws and the per-wavefront maxima run once
-    over the concatenation, with groups that never straddle two arrays.
-    Every float sum whose order matters (the pairwise ``sum`` of a SIMD
-    efficiency, the sequential prefix sum of the chunk costs) runs on
-    each array's own slice, so each plan is bit-identical to deriving
-    its array alone.
+    ``degree_arrays`` hold validated degrees (see :func:`as_degrees`),
+    typically every vertex kernel of one timing window. The float
+    degrees, the cost laws and the per-wavefront maxima run once over
+    the concatenation, with groups that never straddle two arrays. Only
+    the float sums whose order matters run per array, on its own slice:
+    the pairwise ``sum`` of a traffic figure or a SIMD efficiency (a
+    slice sums exactly like a standalone array) and the sequential
+    prefix sum of the chunk costs. Each plan is bit-identical to
+    deriving its array alone.
     """
     degs = list(degree_arrays)
     if config.sort_by_degree:
@@ -164,36 +138,96 @@ def build_plans(
     if not degs:
         return []
     sizes = np.array([d.size for d in degs], dtype=np.int64)
-    flat = np.concatenate(degs)
+    flat = np.concatenate(degs, dtype=np.float64)
     derive = _grid_fields if config.schedule == "grid" else _persistent_fields
     return [
-        ExecutionPlan(degrees=d, traffic_elements=costs.traffic_elements(d), **f)
-        for d, f in zip(degs, derive(flat, sizes, config, costs, device), strict=True)
+        ExecutionPlan(degrees=d, traffic_elements=costs.traffic_elements(f), **fields)
+        for d, f, fields in zip(
+            degs, _split(flat, sizes), derive(flat, sizes, config, costs, device), strict=True
+        )
     ]
 
 
 def _split(values: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
-    """``values`` cut back into consecutive pieces of ``sizes``."""
-    return np.split(values, np.cumsum(sizes)[:-1])
+    """``values`` cut back into consecutive pieces of ``sizes`` (views)."""
+    ends = np.cumsum(sizes).tolist()
+    return [values[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends, strict=True)]
 
 
 def _chunk_sums(item_costs: np.ndarray, per_chunk: int) -> np.ndarray:
-    """Costs of consecutive ``per_chunk``-item chunks (a sequential prefix sum)."""
-    return chunk_costs(item_costs, chunk_ranges(item_costs.size, per_chunk))
+    """Costs of consecutive ``per_chunk``-item chunks.
+
+    Differences of the sequential prefix sum at the chunk boundaries:
+    the subtractions of ``chunk_costs(item_costs, chunk_ranges(n,
+    per_chunk))``, without building and checking the range array.
+    """
+    n = item_costs.size
+    prefix = np.empty(n + 1)
+    prefix[0] = 0.0
+    np.cumsum(item_costs, out=prefix[1:])
+    if per_chunk == 1:
+        return prefix[1:] - prefix[:-1]
+    bounds = np.arange(0, n + per_chunk, per_chunk)
+    bounds[-1] = n
+    return prefix[bounds[1:]] - prefix[bounds[:-1]]
 
 
 def _split_by_threshold(
     flat: np.ndarray, sizes: np.ndarray, threshold: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The hybrid split of every segment: ``(low, low sizes, high, high sizes)``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The hybrid split of every segment: ``(low mask, low count per segment)``.
 
     Degrees below ``threshold`` run thread-per-vertex, the rest
     cooperatively; each side keeps its segment order.
     """
     low = flat < threshold
-    seg = np.repeat(np.arange(sizes.size), sizes)
-    n_low = np.bincount(seg[low], minlength=sizes.size)
-    return flat[low], n_low, flat[~low], sizes - n_low
+    return low, np.array([np.count_nonzero(m) for m in _split(low, sizes)], dtype=np.int64)
+
+
+def _strides(flat: np.ndarray, lanes: int) -> np.ndarray:
+    """``ceil(d / lanes)``, the strides of ``lanes`` lanes through each neighbor list."""
+    strides = flat / lanes
+    return np.ceil(strides, out=strides)
+
+
+def _coop_efficiencies(
+    flat: np.ndarray, sizes: np.ndarray, lanes: int, strides: np.ndarray | None = None
+) -> list[float]:
+    """:func:`coop_efficiency` of every segment.
+
+    Takes the :func:`_strides` over ``lanes`` when the caller has them,
+    and overwrites them.
+    """
+    steps = _strides(flat, lanes) if strides is None else strides
+    np.maximum(steps, 1.0, out=steps)
+    return [
+        float(d.sum() / (st.sum() * lanes)) if d.size else 1.0
+        for d, st in zip(_split(flat, sizes), _split(steps, sizes), strict=True)
+    ]
+
+
+def _lane_efficiencies(
+    flat: np.ndarray,
+    sizes: np.ndarray,
+    lane: np.ndarray,
+    n_lane: np.ndarray,
+    peaks: tuple[np.ndarray, np.ndarray],
+    width: int,
+    coop_lanes: int,
+) -> list[float]:
+    """The SIMD efficiency of every segment's thread lanes.
+
+    ``peaks`` is the lanes' :func:`segmented_wavefront_costs` over
+    ``width``. A segment without lanes (all its vertices cooperative)
+    takes its :func:`coop_efficiency` over ``coop_lanes``.
+    """
+    coop = _coop_efficiencies(flat, sizes, coop_lanes) if not n_lane.all() else []
+    return [
+        simd_efficiency(ln, width, pk) if ln.size else coop[i]
+        for i, (ln, pk) in enumerate(
+            zip(_split(lane, n_lane), _split(*peaks), strict=True)
+        )
+    ]
 
 
 def _grid_fields(
@@ -205,34 +239,26 @@ def _grid_fields(
 ) -> list[dict]:
     lanes = device.wavefront_size
     if config.mapping == "thread":
-        return [
-            {"item_cycles": c}
-            for c in _split(costs.thread_vertex_cycles(flat), sizes)
-        ]
+        return [{"item_cycles": c} for c in _split(costs.thread_vertex_cycles(flat), sizes)]
     if config.mapping == "wavefront":
-        tasks = _split(costs.coop_vertex_cycles(flat), sizes)
+        strides = _strides(flat, lanes)
+        tasks = _split(costs.coop_stride_cycles(strides, lanes), sizes)
+        effs = _coop_efficiencies(flat, sizes, lanes, strides)
         return [
-            {"tasks": t, "simd_efficiency": coop_efficiency(d, lanes)}
-            for t, d in zip(tasks, _split(flat, sizes), strict=True)
+            {"tasks": t, "simd_efficiency": e} for t, e in zip(tasks, effs, strict=True)
         ]
     # hybrid: one fused launch — low-degree lanes packed into wavefront
     # tasks, high-degree vertices as cooperative tasks.
-    low, n_low, high, n_high = _split_by_threshold(
-        flat, sizes, config.degree_threshold
-    )
-    lane = costs.thread_vertex_cycles(low)
-    peaks, n_wf = segmented_wavefront_costs(lane, n_low, lanes)
-    coop = costs.coop_vertex_cycles(high)
+    low, n_low = _split_by_threshold(flat, sizes, config.degree_threshold)
+    lane = costs.thread_vertex_cycles(flat[low])
+    peaks = segmented_wavefront_costs(lane, n_low, lanes)
+    coop = costs.coop_vertex_cycles(flat[~low])
+    effs = _lane_efficiencies(flat, sizes, lane, n_low, peaks, lanes, lanes)
     out = []
-    for d, ln, pk, hi in zip(
-        _split(flat, sizes),
-        _split(lane, n_low),
-        _split(peaks, n_wf),
-        _split(coop, n_high),
-        strict=True,
+    for pk, hi, eff in zip(
+        _split(*peaks), _split(coop, sizes - n_low), effs, strict=True
     ):
         parts = [p for p in (pk, hi) if p.size]
-        eff = simd_efficiency(ln, lanes) if ln.size else coop_efficiency(d, lanes)
         out.append(
             {
                 "tasks": np.concatenate(parts) if parts else np.empty(0),
@@ -263,41 +289,29 @@ def _persistent_fields(
     if config.mapping == "wavefront":
         # one vertex per chunk round, whole workgroup cooperates
         per_chunk = max(1, config.chunk_size // wg)
-        tasks = _split(costs.coop_vertex_cycles(flat, lanes=wg), sizes)
+        strides = _strides(flat, wg)
+        tasks = _split(costs.coop_stride_cycles(strides, wg), sizes)
+        effs = _coop_efficiencies(flat, sizes, wg, strides)
         return [
-            {
-                "chunk_cycles": _chunk_sums(t, per_chunk),
-                "simd_efficiency": coop_efficiency(d, wg),
-            }
-            for t, d in zip(tasks, _split(flat, sizes), strict=True)
+            {"chunk_cycles": _chunk_sums(t, per_chunk), "simd_efficiency": e}
+            for t, e in zip(tasks, effs, strict=True)
         ]
     if config.mapping == "thread":
-        low, n_low = flat, sizes
-        high, n_high = flat[:0], np.zeros_like(sizes)
+        lane, n_low, coop = costs.thread_vertex_cycles(flat), sizes, flat[:0]
     else:  # hybrid
-        low, n_low, high, n_high = _split_by_threshold(
-            flat, sizes, config.degree_threshold
-        )
-    lane = costs.thread_vertex_cycles(low)
-    rounds, n_rounds = segmented_wavefront_costs(lane, n_low, wg)
-    coop = costs.coop_vertex_cycles(high, lanes=wg)
+        low, n_low = _split_by_threshold(flat, sizes, config.degree_threshold)
+        lane = costs.thread_vertex_cycles(flat[low])
+        coop = costs.coop_vertex_cycles(flat[~low], lanes=wg)
+    width = device.wavefront_size
+    rounds = segmented_wavefront_costs(lane, n_low, wg)
+    peaks = rounds if wg == width else segmented_wavefront_costs(lane, n_low, width)
+    effs = _lane_efficiencies(flat, sizes, lane, n_low, peaks, width, wg)
     per_chunk = config.chunk_size // wg
     out = []
-    for d, ln, rd, hi in zip(
-        _split(flat, sizes),
-        _split(lane, n_low),
-        _split(rounds, n_rounds),
-        _split(coop, n_high),
-        strict=True,
-    ):
-        parts = [_chunk_sums(rd, per_chunk)] if ln.size else []
+    for rd, hi, eff in zip(_split(*rounds), _split(coop, sizes - n_low), effs, strict=True):
+        parts = [_chunk_sums(rd, per_chunk)] if rd.size else []
         if hi.size:
             parts.append(hi)
-        eff = (
-            simd_efficiency(ln, device.wavefront_size)
-            if ln.size
-            else coop_efficiency(d, wg)
-        )
         out.append(
             {
                 "chunk_cycles": np.concatenate(parts) if parts else np.empty(0),
@@ -305,82 +319,3 @@ def _persistent_fields(
             }
         )
     return out
-
-
-class PlanCache:
-    """Bounded LRU cache of :class:`ExecutionPlan` values.
-
-    Keys are arbitrary hashables (the executor keys on the degree
-    fingerprint + configuration + cost model). ``max_entries`` bounds
-    memory: iterative algorithms present one distinct active set per
-    round, so an unbounded cache would grow with iteration count.
-    """
-
-    def __init__(self, max_entries: int = 256) -> None:
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._entries: OrderedDict[Hashable, ExecutionPlan] = OrderedDict()
-
-    def get_or_build(
-        self, key: Hashable, builder: Callable[[], ExecutionPlan]
-    ) -> ExecutionPlan:
-        """Return the cached plan for ``key``, building it on a miss."""
-        plan = self._entries.get(key)
-        if plan is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return plan
-        self.misses += 1
-        plan = builder()
-        self._entries[key] = plan
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-        return plan
-
-    def clear(self) -> None:
-        """Drop every entry and zero the hit/miss counters."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def items(self) -> list[tuple[Hashable, ExecutionPlan]]:
-        """Snapshot of the cached ``(key, plan)`` pairs, LRU order.
-
-        Used by :mod:`repro.harness.artifacts` to persist warm plans
-        across benchmark invocations.
-        """
-        return list(self._entries.items())
-
-    def seed(self, entries: Iterable[tuple[Hashable, ExecutionPlan]]) -> int:
-        """Pre-populate from ``(key, plan)`` pairs; returns count added.
-
-        Existing keys are left untouched (a live entry is at least as
-        fresh as a persisted one); the LRU bound still applies.
-        """
-        added = 0
-        for key, plan in entries:
-            if key in self._entries:
-                continue
-            self._entries[key] = plan
-            added += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-        return added
-
-    def stats(self) -> dict[str, int]:
-        return {"entries": len(self._entries), "hits": self.hits, "misses": self.misses}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
-
-    def __repr__(self) -> str:
-        return (
-            f"PlanCache(entries={len(self._entries)}/{self.max_entries}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )

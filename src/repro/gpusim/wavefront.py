@@ -87,18 +87,23 @@ def wavefront_sums(item_cycles: np.ndarray, wavefront_size: int) -> np.ndarray:
     return np.add.reduceat(cycles, _boundaries(cycles.size, wavefront_size))
 
 
-def simd_efficiency(item_cycles: np.ndarray, wavefront_size: int) -> float:
+def simd_efficiency(
+    item_cycles: np.ndarray, wavefront_size: int, peaks: np.ndarray | None = None
+) -> float:
     """Fraction of lane-cycles doing useful work under lockstep.
 
     ``sum(lane costs) / (wavefront_size * sum(max per wavefront))`` —
     1.0 for perfectly uniform lanes, → 0 for a lone heavy lane. Partial
     trailing wavefronts are charged for their idle lanes too, exactly as
-    hardware would.
+    hardware would. ``peaks`` are the items' :func:`wavefront_costs`
+    when the caller has them already (its slice of a
+    :func:`segmented_wavefront_costs`).
     """
     cycles = np.asarray(item_cycles, dtype=np.float64).ravel()
     if cycles.size == 0:
         return 1.0
-    peaks = wavefront_costs(cycles, wavefront_size)
+    if peaks is None:
+        peaks = wavefront_costs(cycles, wavefront_size)
     denom = wavefront_size * peaks.sum()
     if denom == 0:
         return 1.0

@@ -1,12 +1,6 @@
 """Workload harness: the dataset suite and shared run helpers."""
 
-from .artifacts import (
-    ArtifactCache,
-    cache_from_env,
-    graph_key,
-    load_plan_cache,
-    save_plan_cache,
-)
+from .artifacts import ArtifactCache, cache_from_env, graph_key
 from .autotune import TuneOutcome, autotune, candidate_configs
 from .batch import BatchJob, run_batch, run_batch_cell, save_rows_csv, save_rows_json
 from .parallel import (
@@ -51,8 +45,6 @@ __all__ = [
     "ArtifactCache",
     "cache_from_env",
     "graph_key",
-    "load_plan_cache",
-    "save_plan_cache",
     "SharedGraphRef",
     "SharedGraphStore",
     "attach_graph",

@@ -1,16 +1,10 @@
-"""On-disk artifact cache — graphs and warm plans across invocations.
+"""On-disk artifact cache — suite graphs across invocations.
 
 Benchmark sessions keep regenerating the same inputs: a standard-scale
-R-MAT takes longer to *build* than some of the cells that consume it,
-and every fresh process starts with a cold
-:class:`~repro.engine.plan.PlanCache`.  This module persists both:
-
-* **graphs** as ``.npz`` (CSR arrays + a content digest, verified on
-  load, so a corrupt or stale file is a miss, never a wrong graph);
-* **plan-cache snapshots** as pickles keyed by a caller tag, reloaded
-  via :meth:`~repro.engine.plan.PlanCache.seed` (the plan cache's own
-  content-fingerprint keys keep stale entries from ever being *used* —
-  a mismatched key is simply never looked up).
+R-MAT takes longer to *build* than some of the cells that consume it.
+This module persists graphs as ``.npz`` (CSR arrays + a content digest,
+verified on load, so a corrupt or stale file is a miss, never a wrong
+graph).
 
 Keys are content hashes of the build recipe (dataset, scale, generator
 schema version), so bumping :data:`GRAPH_SCHEMA_VERSION` invalidates
@@ -24,25 +18,13 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..graphs.csr import CSRGraph
 
-if TYPE_CHECKING:
-    from ..engine.plan import PlanCache
-
-__all__ = [
-    "ArtifactCache",
-    "GRAPH_SCHEMA_VERSION",
-    "cache_from_env",
-    "graph_key",
-    "load_plan_cache",
-    "save_plan_cache",
-]
+__all__ = ["ArtifactCache", "GRAPH_SCHEMA_VERSION", "cache_from_env", "graph_key"]
 
 #: bump to invalidate every cached graph (generator behavior change)
 GRAPH_SCHEMA_VERSION = 1
@@ -58,10 +40,6 @@ def graph_key(name: str, scale: str, version: int = GRAPH_SCHEMA_VERSION) -> str
     ).hexdigest()
 
 
-def _tag_key(tag: str) -> str:
-    return hashlib.blake2b(f"plans:{tag}".encode(), digest_size=16).hexdigest()
-
-
 def _graph_digest(indptr: np.ndarray, indices: np.ndarray) -> str:
     h = hashlib.blake2b(digest_size=16)
     h.update(np.ascontiguousarray(indptr, dtype=np.int64).tobytes())
@@ -72,9 +50,9 @@ def _graph_digest(indptr: np.ndarray, indices: np.ndarray) -> str:
 class ArtifactCache:
     """Content-hash-keyed file cache under one root directory.
 
-    Layout: ``<root>/graphs/<key>.npz`` and ``<root>/plans/<key>.pkl``.
-    All loads verify integrity and degrade to a miss on any failure —
-    the cache can only ever save time, never change a result.
+    Layout: ``<root>/graphs/<key>.npz``. All loads verify integrity
+    and degrade to a miss on any failure — the cache can only ever save
+    time, never change a result.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -98,7 +76,7 @@ class ArtifactCache:
             if digest != _graph_digest(indptr, indices):
                 raise ValueError("content digest mismatch")
             graph = CSRGraph(indptr, indices, validate=False)
-        except (OSError, KeyError, ValueError, pickle.UnpicklingError):
+        except (OSError, KeyError, ValueError):
             self.misses += 1
             return None
         self.hits += 1
@@ -122,39 +100,6 @@ class ArtifactCache:
             tmp.unlink(missing_ok=True)
         return path
 
-    # -- plan snapshots -------------------------------------------------
-
-    def _plan_path(self, key: str) -> Path:
-        return self.root / "plans" / f"{key}.pkl"
-
-    def load_plans(self, tag: str) -> list[tuple[object, object]]:
-        """The persisted ``(key, plan)`` pairs for ``tag`` (may be [])."""
-        path = self._plan_path(_tag_key(tag))
-        try:
-            with path.open("rb") as fh:
-                entries = pickle.load(fh)
-            if not isinstance(entries, list):
-                raise ValueError("malformed plan snapshot")
-        except (OSError, ValueError, pickle.UnpicklingError, EOFError,
-                AttributeError, ImportError):
-            self.misses += 1
-            return []
-        self.hits += 1
-        return entries
-
-    def store_plans(self, tag: str, entries: list[tuple[object, object]]) -> Path:
-        """Persist plan-cache entries under ``tag`` (atomic)."""
-        path = self._plan_path(_tag_key(tag))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            with tmp.open("wb") as fh:
-                pickle.dump(entries, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-        return path
-
     def stats(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses}
 
@@ -163,15 +108,3 @@ def cache_from_env() -> ArtifactCache | None:
     """The cache configured via :envvar:`REPRO_ARTIFACT_CACHE`, if any."""
     root = os.environ.get(ENV_VAR, "").strip()
     return ArtifactCache(root) if root else None
-
-
-def save_plan_cache(plans: "PlanCache", cache: ArtifactCache, tag: str) -> int:
-    """Snapshot a :class:`PlanCache` to disk; returns entries written."""
-    entries = plans.items()
-    cache.store_plans(tag, entries)
-    return len(entries)
-
-
-def load_plan_cache(plans: "PlanCache", cache: ArtifactCache, tag: str) -> int:
-    """Warm a :class:`PlanCache` from disk; returns entries added."""
-    return plans.seed(cache.load_plans(tag))

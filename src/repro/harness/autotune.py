@@ -109,8 +109,7 @@ def autotune(
     the two leaders, as a tie-break). Deterministic given ``seed``.
     All probe executors share one context (a fresh default
     :class:`~repro.engine.context.RunContext` when ``context`` is
-    omitted) and time on its device, so the tie-break rescoring (and
-    any caller reusing the context afterwards) hits warm plans.
+    omitted) and time on its device.
 
     With a ``recorder``, the winning configuration and full scoreboard
     are upserted into the run store's ``tunings`` table.

@@ -126,9 +126,8 @@ def run_batch(
     Every cell times on the context's device and memory model (a fresh
     default :class:`~repro.engine.context.RunContext` when ``context``
     is omitted). With ``parallel_jobs <= 1`` all jobs share that
-    context: execution plans warm up across cells that repeat a graph ×
-    configuration, and ``context.counters`` aggregates the whole matrix
-    while each row still reports its own executor's window.
+    context: ``context.counters`` aggregates the whole matrix while each
+    row still reports its own executor's window.
 
     With ``parallel_jobs > 1`` the cells run across that many worker
     processes (see :func:`repro.harness.parallel.run_batch_parallel`):

@@ -158,7 +158,7 @@ def _event_bound(n: int, w: int, max_failed: int) -> int:
 
 
 def _own_timelines(
-    costs: np.ndarray, who: np.ndarray, w: int, pop: float
+    costs: np.ndarray, who: np.ndarray | None, w: int, pop: float
 ) -> tuple[np.ndarray, ...]:
     """Each worker's run through its own deque, popped bottom-first.
 
@@ -169,14 +169,14 @@ def _own_timelines(
     empty), column ``2j + 1`` the chunk's start. Row ``k`` of ``spent``
     accumulates ``[0, mine[k, 0], ...]``, its last row ``[0, pop, pop,
     ...]``. ``np.add.accumulate`` adds in sequence, so every entry is
-    bit-identical to an event loop's running sum. The executor's
-    contiguous slabs fill the rows by a reshape, other owners by a scatter.
+    bit-identical to an event loop's running sum. ``who=None`` stands for
+    the contiguous slabs, which fill the rows by a reshape; an explicit
+    owner fills them by a scatter.
     """
     n = costs.size
-    per = -(-n // w)
-    q, r = divmod(n, per)  # q full slabs, then one of r chunks
-    slab = (who[: n - r].reshape(q, per) == np.arange(q)[:, None]).all()
-    if slab and (who[n - r :] == q).all():
+    if who is None:
+        per = -(-n // w)
+        q, r = divmod(n, per)  # q full slabs, then one of r chunks
         flat = np.zeros(w * per)
         flat[: n - r] = costs[: n - r]
         flat[(q + 1) * per - r : (q + 1) * per] = costs[n - r :]  # reversed: popped first
@@ -238,7 +238,7 @@ def _one_chunk_each(
 
 def simulate_work_stealing(
     chunk_cycles: np.ndarray,
-    owner: np.ndarray,
+    owner: np.ndarray | None,
     config: StealingConfig,
     *,
     record_timeline: bool = False,
@@ -248,8 +248,11 @@ def simulate_work_stealing(
 
     ``chunk_cycles[i]`` is the execution cost of chunk ``i`` (already
     wavefront-aggregated by the caller); ``owner[i]`` its initial worker.
-    When workers ``0..n-1`` own one chunk each, no steal can happen and
-    :func:`_one_chunk_each` returns the run directly. Otherwise every
+    ``owner=None`` gives the executor's contiguous slabs of ``ceil(n /
+    num_workers)`` chunks (``owner = arange(n) // per``) without building
+    or checking an owner array. When workers ``0..n-1`` own one chunk
+    each, no steal can happen and :func:`_one_chunk_each` returns the
+    run directly. Otherwise every
     worker starts on its own timeline (:func:`_own_timelines`), and the
     loop visits only the events at which a worker finds its deque empty
     and retires, gives up or makes a steal attempt, reading the deque
@@ -264,16 +267,21 @@ def simulate_work_stealing(
     the victim draws or the event order.
     """
     costs = as_chunk_costs(chunk_cycles)
-    who = np.asarray(owner, dtype=np.int64).ravel()
-    if costs.shape != who.shape:
-        raise ValueError("chunk_cycles and owner must align")
     w, n, inf = config.num_workers, costs.size, math.inf
     pop, steal = float(config.pop_cycles), float(config.steal_cycles)
     timeline = Timeline(w) if record_timeline else None
-    if n <= w and sorted(who.tolist()) == list(range(n)):
-        return _one_chunk_each(costs, who, w, pop, timeline)
-    if n and (who.min() < 0 or who.max() >= w):
-        raise ValueError("owner out of range")
+    if owner is None:
+        who = None
+        if n <= w:  # slabs of one chunk
+            return _one_chunk_each(costs, np.arange(n), w, pop, timeline)
+    else:
+        who = np.asarray(owner, dtype=np.int64).ravel()
+        if costs.shape != who.shape:
+            raise ValueError("chunk_cycles and owner must align")
+        if n <= w and sorted(who.tolist()) == list(range(n)):
+            return _one_chunk_each(costs, who, w, pop, timeline)
+        if n and (who.min() < 0 or who.max() >= w):
+            raise ValueError("owner out of range")
     max_failed, richest = config.max_failed_attempts, config.steal_policy == "richest"
     steps, spent, mine, chunk_of, counts = _own_timelines(costs, who, w, pop)
     rows, ends = np.arange(w), np.cumsum(counts).tolist()

@@ -170,6 +170,14 @@ class TestRegisteredKernels:
         assert report.may_race == ["colors"]
         assert report.verdict_for("colors").witness is not None
 
+    def test_inplace_declaration_is_per_kernel(self):
+        # hybrid-switch's max-min phase keeps its snapshot pair apart
+        sweep = verify_kernels((DEVICE_KERNELS["maxmin_sweep"],), algorithm="hybrid-switch")
+        assert sweep.ok and sweep.may_race == []
+        assert sweep.expected_racy == frozenset()
+        assert verify_algorithm("hybrid-switch").expected_racy == frozenset({"colors"})
+        assert expected_racy("hybrid-switch") == frozenset({"colors"})
+
     def test_wavefront_maxmin_scratch_is_local(self):
         report = verify_algorithm("maxmin", mapping="wavefront")
         assert report.ok

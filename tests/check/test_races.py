@@ -272,6 +272,39 @@ class TestAlgorithmScans:
         assert scan.unexpected
         assert scan.racy_arrays == ["colors_out"]
 
+    def test_hybrid_switch_maxmin_phase_is_race_free(self, small_skewed):
+        # the max-min phase double-buffers; only the speculative kernels
+        # update colors in place
+        log = AccessLog()
+        run_coloring(small_skewed, "hybrid-switch", AccessLoggingLauncher(log))
+        assert "maxmin_sweep#0" in log.step_names
+        findings = detect_races(log, max_findings_per_array=10**9)
+        assert findings
+        assert {f.step_name.split("#")[0] for f in findings} == {"spec_assign", "spec_detect"}
+        assert {f.array for f in findings} == {"colors"}
+
+    def test_racy_hybrid_switch_maxmin_phase_is_caught(self, small_skewed, monkeypatch):
+        # a max-min sweep that also stamps its neighbors' output colors:
+        # the hybrid-switch scan must not count its races as expected
+        def maxmin_sweep(tid, indptr, indices, priorities, colors_in, colors_out, round_k):
+            if colors_in[tid] != UNCOLORED:
+                return
+            device_kernels.maxmin_sweep(
+                tid, indptr, indices, priorities, colors_in, colors_out, round_k
+            )
+            for e in range(indptr[tid], indptr[tid + 1]):
+                u = indices[e]
+                colors_out[u] = colors_out[u]
+
+        spec = dataclasses.replace(
+            device_kernels.DEVICE_KERNELS["maxmin_sweep"], fn=maxmin_sweep
+        )
+        monkeypatch.setitem(device_kernels.DEVICE_KERNELS, "maxmin_sweep", spec)
+        scan = scan_algorithm_races(small_skewed, "hybrid-switch", seed=0)
+        assert not scan.ok
+        assert {f.step_name.split("#")[0] for f in scan.unexpected} == {"maxmin_sweep"}
+        assert {f.array for f in scan.unexpected} == {"colors_out"}
+
 
 class TestAccessLoggingLauncher:
     @pytest.mark.parametrize("algorithm", INTERP_ALGORITHMS)

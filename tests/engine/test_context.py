@@ -45,7 +45,6 @@ class TestExecutorFactory:
         ctx = RunContext()
         ex = ctx.executor(mapping="hybrid")
         assert ex.context is ctx
-        assert ex.plans is ctx.plans
         assert ex.config.mapping == "hybrid"
 
     def test_executor_with_config_object(self):
@@ -105,16 +104,6 @@ class TestAlgorithmIntegration:
         via_ctx = run_gpu_coloring(g, "maxmin", seed=None, context=ctx)
         explicit = run_gpu_coloring(g, "maxmin", seed=11)
         np.testing.assert_array_equal(via_ctx.colors, explicit.colors)
-
-    def test_batch_style_sharing_warm_plans(self):
-        g = rmat(6, seed=5)
-        ctx = RunContext()
-        run_gpu_coloring(g, "maxmin", ctx.executor(), seed=0)
-        assert ctx.plans.misses > 0
-        before = ctx.plans.misses
-        run_gpu_coloring(g, "maxmin", ctx.executor(), seed=0)
-        assert ctx.plans.misses == before  # identical run = all warm
-        assert ctx.plans.hits >= before
 
 
 class TestDeviceOwnership:

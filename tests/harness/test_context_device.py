@@ -50,7 +50,7 @@ class TestBatchOnContextDevice:
 
 class TestAutotuneOnContextDevice:
     def test_scoreboard_matches_a_fresh_context(self):
-        # a context already used for a batch: warm plans change nothing
+        # a context already used for a batch changes nothing
         graph = build("rmat", "small")
         ctx = RunContext(device=RADEON_R9_290X)
         run_batch(JOBS[:2], context=ctx, scale="small")

@@ -8,22 +8,15 @@ run, and the artifact cache must only ever save time (corrupt file ⇒
 miss, never a wrong graph).
 """
 
-import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.engine.context import RunContext
-from repro.engine.plan import PlanCache
 from repro.gpusim.device import RADEON_HD_7950
 from repro.graphs import generators as gen
-from repro.harness.artifacts import (
-    ArtifactCache,
-    graph_key,
-    load_plan_cache,
-    save_plan_cache,
-)
+from repro.harness.artifacts import ArtifactCache, graph_key
 from repro.harness.batch import BatchJob, run_batch
 from repro.harness.parallel import (
     SharedGraphStore,
@@ -337,34 +330,6 @@ class TestArtifactCache:
             "rmat", "tiny", version=2
         )
 
-    def test_plan_snapshot_roundtrip(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        plans = PlanCache()
-        plans.get_or_build("k1", lambda: _fake_plan("a"))
-        plans.get_or_build("k2", lambda: _fake_plan("b"))
-        assert save_plan_cache(plans, cache, tag="t") == 2
-        warmed = PlanCache()
-        assert load_plan_cache(warmed, cache, tag="t") == 2
-        assert "k1" in warmed and "k2" in warmed
-        # a warm entry is a hit, not a rebuild
-        assert warmed.get_or_build("k1", _unexpected_build).name == "a"
-        # existing entries are never clobbered by a snapshot
-        assert load_plan_cache(warmed, cache, tag="t") == 0
-
-    def test_missing_plan_snapshot_is_empty(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        assert cache.load_plans("nope") == []
-
-    def test_corrupt_plan_snapshot_is_empty(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        plans = PlanCache()
-        plans.get_or_build("k", lambda: _fake_plan("a"))
-        save_plan_cache(plans, cache, tag="t")
-        from repro.harness.artifacts import _tag_key
-
-        cache._plan_path(_tag_key("t")).write_bytes(b"\x80garbage")
-        assert load_plan_cache(PlanCache(), cache, tag="t") == 0
-
     def test_suite_build_uses_disk_cache(self, tmp_path, monkeypatch):
         from repro.harness import suite
 
@@ -380,25 +345,3 @@ class TestArtifactCache:
 
 def _cache_dir_has_graph(root, name, scale) -> bool:
     return (Path(root) / "graphs" / f"{graph_key(name, scale)}.npz").exists()
-
-
-def _unexpected_build():
-    raise AssertionError("warm plan should not be rebuilt")
-
-
-class _FakePlan:
-    """Minimal picklable stand-in for an ExecutionPlan."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _FakePlan) and other.name == self.name
-
-    def __reduce__(self):
-        return (_FakePlan, (self.name,))
-
-
-def _fake_plan(name: str) -> "_FakePlan":
-    assert pickle.loads(pickle.dumps(_FakePlan(name))) == _FakePlan(name)
-    return _FakePlan(name)

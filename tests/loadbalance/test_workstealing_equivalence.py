@@ -15,7 +15,10 @@ fewer-chunks-than-workers owners, zero and positive overheads. The
 second draws long slab runs, where victims are robbed deep into their
 timelines and thieves are robbed in turn. Two replays feed the
 simulator the chunk vectors of a small-scale suite run and of the
-standard-scale powerlaw run the benchmark times.
+standard-scale powerlaw run the benchmark times; the executor leaves the
+owner out (its contiguous slabs), and the event loop gets the slab owner
+spelled out. A last property checks that leaving the owner out is the
+same run as passing the slab owner.
 """
 
 from __future__ import annotations
@@ -144,6 +147,11 @@ def reference_work_stealing(chunk_cycles, owner, config, *, record_timeline=Fals
         chunks_migrated=stats["migrated"],
         timeline=timeline,
     )
+
+
+def slab_owner(n: int, w: int) -> np.ndarray:
+    """The executor's contiguous slabs: ``ceil(n / w)`` chunks per worker."""
+    return np.arange(n, dtype=np.int64) // max(1, -(-n // w))
 
 
 def _run_traced(fn, costs, owner, cfg):
@@ -298,7 +306,9 @@ def captured_calls():
     real = kernels.simulate_work_stealing
 
     def capture(chunk_cycles, owner, config, **kwargs):
-        calls.append((np.array(chunk_cycles), np.array(owner), config))
+        assert owner is None  # the executor's slabs
+        owner_ = slab_owner(len(chunk_cycles), config.num_workers)
+        calls.append((np.array(chunk_cycles), owner_, config))
         return real(chunk_cycles, owner, config, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -327,7 +337,9 @@ def powerlaw_calls():
     real = kernels.simulate_work_stealing
 
     def capture(chunk_cycles, owner, config, **kwargs):
-        calls.append((np.array(chunk_cycles), np.array(owner), config))
+        assert owner is None  # the executor's slabs
+        owner_ = slab_owner(len(chunk_cycles), config.num_workers)
+        calls.append((np.array(chunk_cycles), owner_, config))
         return real(chunk_cycles, owner, config, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -345,3 +357,31 @@ def test_matches_event_loop_on_powerlaw_sweeps(powerlaw_calls):
     wide = [call for call in powerlaw_calls if call[0].size > w]
     for costs, owner, cfg in (wide[0], wide[-1]):
         assert assert_identical(costs, owner, cfg).steal_attempts > 0
+
+
+# ---------------------------------------------------------------------------
+# property: the omitted owner is the contiguous slabs
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(long_slab_runs(), st.integers(0, 40))
+def test_omitted_owner_is_the_slab_owner(case, short):
+    costs, owner, cfg = case
+    if short < cfg.num_workers:  # also at most one chunk per worker
+        costs = costs[:short]
+        owner = slab_owner(costs.size, cfg.num_workers)
+    slabs, slab_instants = _run_traced(simulate_work_stealing, costs, owner, cfg)
+    omitted, instants = _run_traced(simulate_work_stealing, costs, None, cfg)
+    assert type(omitted.makespan_cycles) is type(slabs.makespan_cycles)
+    assert repr(omitted.makespan_cycles) == repr(slabs.makespan_cycles)
+    for name in ("busy_cycles", "overhead_cycles", "chunks_executed"):
+        assert _bits(getattr(omitted, name)) == _bits(getattr(slabs, name)), name
+    assert (omitted.steal_attempts, omitted.steals_succeeded, omitted.chunks_migrated) == (
+        slabs.steal_attempts,
+        slabs.steals_succeeded,
+        slabs.chunks_migrated,
+    )
+    for pipe in range(cfg.num_workers):
+        assert omitted.timeline.intervals_for(pipe) == slabs.timeline.intervals_for(pipe)
+    assert instants == slab_instants
