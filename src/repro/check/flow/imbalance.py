@@ -432,7 +432,7 @@ class ImbalancePrediction:
 
 
 def _static_owner(num_chunks: int, workers: int) -> np.ndarray:
-    """Contiguous-slab ownership, mirroring ``GPUExecutor._static_owner``."""
+    """Contiguous-slab ownership: the executor's static and stealing slabs."""
     if num_chunks == 0:
         return np.empty(0, dtype=np.int64)
     per = -(-num_chunks // workers)

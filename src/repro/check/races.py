@@ -34,6 +34,7 @@ Jones–Plassmann, max-min or edge-centric, is a bug.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any
@@ -93,6 +94,11 @@ class AccessLog:
     work assignment); the log derives wavefronts as
     ``thread // wavefront_size``. Calls are vectorized: one
     :meth:`read`/:meth:`write` records a whole index array at once.
+
+    Accesses of different steps never race, so each (array, step)
+    bucket is classified when its step closes (:meth:`next_step`) and
+    only the accesses of its racy elements are kept, in logged order.
+    Memory is bounded by one step's accesses plus the racy elements.
     """
 
     def __init__(self, wavefront_size: int = DEFAULT_WAVEFRONT_SIZE) -> None:
@@ -101,11 +107,18 @@ class AccessLog:
         self.wavefront_size = wavefront_size
         self.step = 0
         self.step_names: list[str] = ["step0"]
-        self._buckets: dict[tuple[str, int], _StepLog] = {}
+        self._open: dict[str, _StepLog] = {}  # this step's buckets
+        self._racy: dict[tuple[str, int], tuple[np.ndarray, ...]] = {}  # closed steps
+        self._arrays: set[str] = set()
         self.total_accesses = 0
 
     def next_step(self, name: str = "") -> int:
         """Advance past a kernel-launch boundary (a global sync edge)."""
+        for array, bucket in self._open.items():
+            racy = self._racy_columns(bucket)
+            if racy is not None:
+                self._racy[(array, self.step)] = racy
+        self._open = {}
         self.step += 1
         self.step_names.append(name or f"step{self.step}")
         return self.step
@@ -127,11 +140,12 @@ class AccessLog:
             raise ValueError("indices and thread ids must align")
         if idx.size == 0:
             return
-        bucket = self._buckets.setdefault((array, self.step), _StepLog())
+        bucket = self._open.setdefault(array, _StepLog())
         bucket.indices.append(idx)
         bucket.threads.append(tid)
         bucket.writes.append(np.full(idx.size, write))
         bucket.atomics.append(np.full(idx.size, atomic))
+        self._arrays.add(array)
         self.total_accesses += idx.size
 
     def read(
@@ -156,22 +170,36 @@ class AccessLog:
 
     @property
     def arrays(self) -> list[str]:
-        return sorted({a for a, _ in self._buckets})
+        return sorted(self._arrays)
 
-    def buckets(self):
-        """Yield ``(array, step, indices, wavefronts, writes, atomics, threads)``."""
-        for (array, step), b in sorted(self._buckets.items()):
-            idx = np.concatenate(b.indices)
-            tid = np.concatenate(b.threads)
-            yield (
-                array,
-                step,
-                idx,
-                wavefront_of(tid, self.wavefront_size),
-                np.concatenate(b.writes),
-                np.concatenate(b.atomics),
-                tid,
-            )
+    def _racy_columns(self, bucket: _StepLog) -> tuple[np.ndarray, ...] | None:
+        """The bucket's accesses to its racy elements, or ``None`` if it has none."""
+        idx, tid, wr, at = (
+            np.concatenate(parts)
+            for parts in (bucket.indices, bucket.threads, bucket.writes, bucket.atomics)
+        )
+        racy = classify_bucket(idx, wavefront_of(tid, self.wavefront_size), wr, at)
+        if not racy.starts.size:
+            return None
+        # mark each racy element's run of the sorted accesses, then map back
+        edges = np.zeros(idx.size + 1, dtype=np.int64)
+        edges[racy.starts] = 1
+        edges[racy.starts + racy.sizes] -= 1
+        keep = np.zeros(idx.size, dtype=bool)
+        keep[racy.order[np.cumsum(edges[:-1]) > 0]] = True
+        return idx[keep], tid[keep], wr[keep], at[keep]
+
+    def _racy_buckets(self) -> Iterator[tuple[Any, ...]]:
+        """Yield ``(array, step, indices, threads, writes, atomics)`` of every
+        bucket's racy elements in (array, step) order; the open step's
+        buckets are classified here without being closed."""
+        buckets = dict(self._racy)
+        for array, bucket in self._open.items():
+            racy = self._racy_columns(bucket)
+            if racy is not None:
+                buckets[(array, self.step)] = racy
+        for (array, step), columns in sorted(buckets.items()):
+            yield (array, step, *columns)
 
 
 @dataclass(frozen=True)
@@ -220,10 +248,9 @@ def detect_races(
     """
     findings: list[RaceFinding] = []
     per_array: dict[str, int] = {} if counts_out is None else counts_out
-    for array, step, idx, wf, wr, at, tid in log.buckets():
-        racy = classify_bucket(idx, wf, wr, at)
-        if not racy.starts.size:
-            continue
+    for array, step, idx, tid, wr, at in log._racy_buckets():
+        wf = wavefront_of(tid, log.wavefront_size)
+        racy = classify_bucket(idx, wf, wr, at)  # every element of these is racy
         count = per_array.get(array, 0)
         per_array[array] = count + racy.starts.size
         keep = min(racy.starts.size, max_findings_per_array - count)

@@ -601,10 +601,9 @@ class GPUExecutor:
         chunk_cyc = plan.chunk_cycles
         workers = dev.num_cus * cfg.persistent_groups_per_cu
         launch = dev.launch_cycles
-        if cfg.schedule == "static":
-            owner = self._static_owner(chunk_cyc.size, workers)
+        if cfg.schedule == "static":  # from the contiguous slabs
             res = simulate_static_persistent(
-                chunk_cyc, owner, workers, pop_cycles=dev.atomic_cycles / 8.0
+                chunk_cyc, None, workers, pop_cycles=dev.atomic_cycles / 8.0
             )
         elif cfg.schedule == "dynamic":
             res = simulate_dynamic_fetch(
@@ -652,11 +651,3 @@ class GPUExecutor:
             cu_busy=res.busy_cycles,
             bandwidth_bound=bw > res.makespan_cycles,
         )
-
-    @staticmethod
-    def _static_owner(num_chunks: int, workers: int) -> np.ndarray:
-        """Contiguous-slab initial ownership (the OpenCL baseline)."""
-        if num_chunks == 0:
-            return np.empty(0, dtype=np.int64)
-        per = -(-num_chunks // workers)
-        return np.arange(num_chunks, dtype=np.int64) // per

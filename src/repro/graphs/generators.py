@@ -117,33 +117,101 @@ def rmat(
     return CSRGraph.from_edges(u, v, num_vertices=n)
 
 
+#: Vertices whose picks :func:`barabasi_albert` reduces in one vectorized
+#: step before it needs NumPy's scalar loop again.
+_BA_WINDOW = 64
+
+_WORD = 1 << 32
+
+
 def barabasi_albert(n: int, *, attach: int = 4, seed: int = 0) -> CSRGraph:
     """Preferential-attachment power-law graph.
 
     Each arriving vertex attaches to ``attach`` existing vertices chosen
     proportionally to degree (repeated-endpoint trick: sample uniformly
     from the running edge-endpoint list).
+
+    The draws are those of one ``rng.integers(0, len(pool), size=attach)``
+    call per vertex, so the graph and the caller's ``Generator`` end state
+    match that loop bit for bit. For a pool below ``2**32`` slots NumPy
+    maps each uint32 word ``w`` of the generator's stream to slot
+    ``(w * h) >> 32`` (Lemire's method, ``h = len(pool)``), rejecting
+    ``w`` when ``(w * h) % 2**32 < (2**32 - h) % h``. All words are
+    therefore drawn in one block and reduced ``_BA_WINDOW`` vertices at a
+    time, assuming each vertex adds ``attach`` distinct picks. A window
+    commits its vertices up to the first one where that reduction may be
+    wrong: a word NumPy could reject (low half below ``h``), a pick slot
+    written inside the window, or a repeated pick. That vertex takes
+    NumPy's exact scalar step instead, drawing past the block if
+    rejections used it up.
     """
     if attach < 1:
         raise ValueError("attach must be >= 1")
     if n <= attach:
         raise ValueError("n must exceed attach")
-    rng = _rng(seed)
     # Seed clique of attach + 1 vertices keeps early degrees nonzero.
     seed_n = attach + 1
+    pool_size = attach * seed_n + 2 * attach * (n - seed_n)
+    if pool_size >= _WORD:
+        raise ValueError(
+            f"barabasi_albert(n={n}, attach={attach}) needs an endpoint pool of "
+            f"{pool_size} >= 2**32 slots, where NumPy's draws take another path"
+        )
+    rng = _rng(seed)
+    words = rng.integers(0, _WORD, size=(n - seed_n) * attach, dtype=np.uint32)
     iu, iv = np.triu_indices(seed_n, k=1)
-    src: list[int] = iu.tolist()
-    dst: list[int] = iv.tolist()
-    # endpoint pool: both ends of every edge, in insertion order
-    pool = np.column_stack([iu, iv]).ravel().tolist()
-    for newv in range(seed_n, n):
-        picks = sorted({pool[i] for i in rng.integers(0, len(pool), size=attach).tolist()})
-        k = len(picks)
-        src += [newv] * k
-        dst += picks
-        pool += [newv] * k
-        pool += picks
-    return CSRGraph.from_edges(src, dst, num_vertices=n)
+    # endpoint pool: both ends of every edge, in insertion order; each
+    # arriving vertex appends a block of k copies of itself, then its picks
+    pool = np.empty(pool_size, dtype=np.int64)
+    h = 2 * iu.size
+    pool[:h:2] = iu
+    pool[1:h:2] = iv
+    dst = np.empty(iu.size + words.size, dtype=np.int64)
+    dst[: iu.size] = iv
+    e = iu.size
+    picked = np.empty(n - seed_n, dtype=np.int64)  # k of each arriving vertex
+    stride = np.arange(0, _BA_WINDOW * 2 * attach, 2 * attach, dtype=np.uint64)
+    v, w = seed_n, 0
+    while v < n:
+        c = min(_BA_WINDOW, n - v, (words.size - w) // attach)
+        if c:
+            hs = (h + stride[:c])[:, None]
+            m = words[w : w + c * attach].reshape(c, attach) * hs
+            slots = (m >> 32).astype(np.int64)
+            block = pool[h : h + 2 * attach * c].reshape(c, 2, attach)
+            block[:, 0] = np.arange(v, v + c)[:, None]
+            block[:, 1] = -1  # picks inside the window are not known yet
+            picks = np.sort(pool[slots], axis=1)
+            bad = (
+                ((m & (_WORD - 1)) < hs).any(axis=1)  # NumPy may reject a word
+                | (picks[:, 0] < 0)  # read a pick written inside the window
+                | (picks[:, 1:] == picks[:, :-1]).any(axis=1)  # repeated pick
+            )
+            r = int(bad.argmax()) if bad.any() else c
+            block[:r, 1] = picks[:r]
+            dst[e : e + r * attach] = picks[:r].ravel()
+            picked[v - seed_n : v - seed_n + r] = attach
+            v, w, h, e = v + r, w + r * attach, h + 2 * attach * r, e + r * attach
+            if v == n:
+                break
+        # NumPy's bounded-draw loop for vertex v, word by word
+        chosen = set()
+        for _ in range(attach):
+            while True:
+                word = words[w] if w < words.size else rng.integers(0, _WORD, dtype=np.uint32)
+                w += 1
+                m = int(word) * h
+                if m % _WORD >= (_WORD - h) % h:
+                    break
+            chosen.add(int(pool[m >> 32]))
+        k = len(chosen)
+        pool[h : h + k] = v
+        pool[h + k : h + 2 * k] = dst[e : e + k] = sorted(chosen)
+        picked[v - seed_n] = k
+        v, h, e = v + 1, h + 2 * k, e + k
+    del pool, words
+    src = np.concatenate([iu, np.repeat(np.arange(seed_n, n), picked)])
+    return CSRGraph.from_edges(src, dst[:e], num_vertices=n)
 
 
 def powerlaw_cluster(

@@ -126,7 +126,7 @@ class StealingResult:
 
 def simulate_static_persistent(
     chunk_cycles: np.ndarray,
-    owner: np.ndarray,
+    owner: np.ndarray | None,
     num_workers: int,
     *,
     pop_cycles: float = 8.0,
@@ -134,21 +134,42 @@ def simulate_static_persistent(
     """Persistent workgroups, no stealing: each runs only its own chunks.
 
     This is the static baseline the work-stealing figure compares
-    against; makespan is simply the heaviest worker.
+    against; makespan is simply the heaviest worker. ``owner=None`` gives
+    the executor's contiguous slabs of ``ceil(n / num_workers)`` chunks,
+    as in :func:`simulate_work_stealing`: each slab is summed in chunk
+    order as the last column of a row-wise ``np.add.accumulate``, the same
+    additions ``np.add.at`` makes for an explicit owner.
     """
     costs = as_chunk_costs(chunk_cycles)
-    who = np.asarray(owner, dtype=np.int64).ravel()
-    if costs.shape != who.shape:
-        raise ValueError("chunk_cycles and owner must align")
-    if who.size and (who.min() < 0 or who.max() >= num_workers):
-        raise ValueError("owner out of range")
-    busy = np.zeros(num_workers, dtype=np.float64)
-    count = np.zeros(num_workers, dtype=np.int64)
-    np.add.at(busy, who, costs)
-    np.add.at(count, who, 1)
+    n, w = costs.size, num_workers
+    if owner is None:
+        if w <= 0:
+            raise ValueError("num_workers must be positive")
+        per, count = _slabs(n, w)
+        slabs = np.zeros(w * per)
+        slabs[:n] = costs
+        # 0.0 + first cost, as np.add.at starts from zeros (only -0.0 differs)
+        busy = 0.0 + np.add.accumulate(slabs.reshape(w, per), axis=1)[:, -1]
+    else:
+        who = np.asarray(owner, dtype=np.int64).ravel()
+        if costs.shape != who.shape:
+            raise ValueError("chunk_cycles and owner must align")
+        if who.size and (who.min() < 0 or who.max() >= w):
+            raise ValueError("owner out of range")
+        busy = np.zeros(w, dtype=np.float64)
+        count = np.zeros(w, dtype=np.int64)
+        np.add.at(busy, who, costs)
+        np.add.at(count, who, 1)
     overhead = count * pop_cycles
-    makespan = float((busy + overhead).max()) if num_workers else 0.0
+    makespan = float((busy + overhead).max()) if w else 0.0
     return StealingResult(makespan, busy, overhead.astype(np.float64), count, 0, 0, 0)
+
+
+def _slabs(n: int, w: int) -> tuple[int, np.ndarray]:
+    """The executor's contiguous slabs of ``n`` chunks over ``w`` workers:
+    the slab length ``ceil(n / w)`` (at least 1) and each worker's count."""
+    per = -(-n // w) or 1
+    return per, np.minimum(np.maximum(n - per * np.arange(w), 0), per)
 
 
 def _event_bound(n: int, w: int, max_failed: int) -> int:
@@ -175,13 +196,12 @@ def _own_timelines(
     """
     n = costs.size
     if who is None:
-        per = -(-n // w)
+        per, counts = _slabs(n, w)
         q, r = divmod(n, per)  # q full slabs, then one of r chunks
         flat = np.zeros(w * per)
         flat[: n - r] = costs[: n - r]
         flat[(q + 1) * per - r : (q + 1) * per] = costs[n - r :]  # reversed: popped first
         mine, order = flat.reshape(w, per)[:, ::-1], np.arange(n)
-        counts = np.minimum(np.maximum(n - per * np.arange(w), 0), per)
     else:
         order, counts = np.argsort(who, kind="stable"), np.bincount(who, minlength=w)
         mine = np.zeros((w, int(counts.max())))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,31 @@ from repro.graphs import generators as gen
 from repro.harness.suite import build
 
 
+class CallLog(AccessLog):
+    """An access log that also keeps each ``read``/``write`` call it gets."""
+
+    @dataclasses.dataclass
+    class Call:
+        array: str
+        step: int
+        indices: np.ndarray
+        threads: np.ndarray
+        write: bool
+        atomic: bool
+
+    def __init__(self, wavefront_size: int) -> None:
+        super().__init__(wavefront_size)
+        self.calls: list[CallLog.Call] = []
+
+    def read(self, array, indices, threads, *, atomic=False):
+        self.calls.append(self.Call(array, self.step, indices, threads, False, atomic))
+        super().read(array, indices, threads, atomic=atomic)
+
+    def write(self, array, indices, threads, *, atomic=False):
+        self.calls.append(self.Call(array, self.step, indices, threads, True, atomic))
+        super().write(array, indices, threads, atomic=atomic)
+
+
 class TestAccessLog:
     def test_steps_advance(self):
         log = AccessLog()
@@ -43,10 +69,35 @@ class TestAccessLog:
         assert log.arrays == ["a"]
 
     def test_scalar_thread_broadcast(self):
-        log = AccessLog()
+        log = AccessLog(wavefront_size=2)
         log.read("a", np.array([1, 2, 3]), np.array([7]))
-        ((_, _, idx, _, _, _, tid),) = list(log.buckets())
-        assert idx.size == 3 and np.all(tid == 7)
+        log.write("a", np.array([1, 2, 3]), np.array([0, 0, 0]))
+        findings = detect_races(log)
+        assert [f.index for f in findings] == [1, 2, 3]
+        for f in findings:  # one read per element, each by thread 7
+            assert [(a.kind, a.thread, a.wavefront) for a in f.samples] == [
+                ("r", 7, 3),
+                ("w", 0, 0),
+            ]
+
+    def test_closed_steps_keep_only_racy_elements(self):
+        log = AccessLog(wavefront_size=2)
+        log.write("a", np.array([1, 2]), np.array([0, 0]))
+        log.write("a", np.array([2, 3]), np.array([2, 2]))  # element 2 races
+        before = detect_races(log)
+        log.next_step("next")
+        assert detect_races(log) == before
+        assert [(f.array, f.index, f.step, f.num_accesses) for f in before] == [("a", 2, 0, 2)]
+        tracemalloc.start()
+        try:
+            log.read("b", np.arange(10**5), np.arange(10**5))  # read-only: never races
+            log.next_step()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 1 << 16  # the closed step's 1.8 MB of columns are gone
+        assert log.arrays == ["a", "b"] and log.total_accesses == 4 + 10**5
+        assert detect_races(log) == before
 
     def test_misaligned_shapes_rejected(self):
         log = AccessLog()
@@ -315,15 +366,16 @@ class TestAccessLoggingLauncher:
         assert np.array_equal(want, got)
 
     def test_wavefront_kernel_logs_wavefront_threads(self, small_skewed):
-        log = AccessLog(wavefront_size=64)
+        log = CallLog(wavefront_size=64)
         launcher = AccessLoggingLauncher(log)
         want = run_coloring(small_skewed, "maxmin", ThreadLauncher(), mapping="wavefront")
         got = run_coloring(small_skewed, "maxmin", launcher, mapping="wavefront")
         assert np.array_equal(want, got)
         # thread wid * 64 + lane is in wavefront wid, which owns vertex wid
-        for array, _, idx, wf, wr, _, _ in log.buckets():
-            if array == "colors_out":
-                assert np.array_equal(idx[wr], wf[wr])
+        writes = [c for c in log.calls if c.array == "colors_out" and c.write]
+        assert writes
+        for c in writes:
+            assert np.array_equal(c.indices, c.threads // 64)
         assert "scratch_max" not in log.arrays  # wavefront-local, not logged
         assert detect_races(log) == []
 
@@ -351,16 +403,25 @@ class TestAccessLoggingLauncher:
         assert run(AccessLoggingLauncher(AccessLog())).tolist() == [0, 1, 0, 1, 0]
 
     def test_atomic_arrays_are_tagged(self, triangle):
-        log = AccessLog()
+        log = CallLog(wavefront_size=1)  # every thread its own wavefront
         run_coloring(triangle, "edge-centric", AccessLoggingLauncher(log))
         tags: dict[tuple[str, str], set[bool]] = {}
-        for array, step, _, _, _, at, _ in log.buckets():
-            kernel = log.step_names[step].split("#")[0]
-            tags.setdefault((kernel, array), set()).update(at.tolist())
+        for c in log.calls:
+            kernel = log.step_names[c.step].split("#")[0]
+            tags.setdefault((kernel, c.array), set()).add(c.atomic)
         assert tags[("ec_edge_fold", "acc_max")] == {True}
         assert tags[("ec_edge_fold", "acc_min")] == {True}
         assert tags[("ec_edge_fold", "priorities")] == {False}
         assert tags[("ec_decide", "acc_max")] == {False}  # read outside the fold
+        # the fold's writes to one accumulator come from several threads,
+        # and only the atomic tag keeps them from racing
+        writers: dict[int, set[int]] = {}
+        for c in log.calls:
+            if c.array == "acc_max" and c.write:
+                for i, t in zip(c.indices.tolist(), c.threads.tolist()):
+                    writers.setdefault(i, set()).add(t)
+        assert max(map(len, writers.values())) >= 2
+        assert detect_races(log) == []
 
     def test_each_launch_is_a_step(self, triangle):
         log = AccessLog()

@@ -151,6 +151,11 @@ def _oracle_persistent_chunks(deg, config, costs, device):
     return chunks, eff_lane if eff_lane is not None else coop_efficiency(deg, wg)
 
 
+def slab_owner(num_chunks: int, workers: int) -> np.ndarray:
+    """Contiguous-slab initial ownership (the OpenCL baseline), as an array."""
+    return np.arange(num_chunks, dtype=np.int64) // max(1, -(-num_chunks // workers))
+
+
 class OracleExecutor(GPUExecutor):
     """Times each logged kernel on its own, one plan and one dispatch each."""
 
@@ -249,7 +254,7 @@ class OracleExecutor(GPUExecutor):
         if cfg.schedule == "static":
             res = simulate_static_persistent(
                 chunk_cyc,
-                self._static_owner(chunk_cyc.size, workers),
+                slab_owner(chunk_cyc.size, workers),
                 workers,
                 pop_cycles=dev.atomic_cycles / 8.0,
             )
@@ -265,7 +270,7 @@ class OracleExecutor(GPUExecutor):
                 steal_cfg = replace(steal_cfg, num_workers=workers)
             res = reference_work_stealing(
                 chunk_cyc,
-                self._static_owner(chunk_cyc.size, workers),
+                slab_owner(chunk_cyc.size, workers),
                 steal_cfg,
                 tracer=self.context.tracer,
             )

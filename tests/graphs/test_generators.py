@@ -1,12 +1,14 @@
 """Unit tests for the synthetic graph generators."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.graphs import generators as gen
+from repro.graphs.csr import CSRGraph
 from repro.graphs.stats import degree_cv
 from repro.harness.suite import SCALES, SUITE
 from repro.store.db import graph_digest
@@ -83,6 +85,104 @@ class TestBarabasiAlbert:
             gen.barabasi_albert(3, attach=4)
         with pytest.raises(ValueError):
             gen.barabasi_albert(10, attach=0)
+
+    @pytest.mark.parametrize(
+        "n, attach",
+        [
+            (2**31 + 1, 1),  # pool exactly 2**32
+            (2**28 + 5, 8),
+            (2**40, 4),
+        ],
+    )
+    def test_pool_size_checked_before_allocating(self, n, attach):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"n={n}, attach={attach}"):
+                gen.barabasi_albert(n, attach=attach)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # nothing of the pool's size was allocated
+
+
+def _reference_barabasi_albert(n, attach, rng):
+    """The per-vertex loop ``barabasi_albert`` must reproduce draw for draw."""
+    seed_n = attach + 1
+    iu, iv = np.triu_indices(seed_n, k=1)
+    src, dst = iu.tolist(), iv.tolist()
+    pool = np.column_stack([iu, iv]).ravel().tolist()
+    for newv in range(seed_n, n):
+        picks = sorted({pool[i] for i in rng.integers(0, len(pool), size=attach).tolist()})
+        src += [newv] * len(picks)
+        dst += picks
+        pool += [newv] * len(picks)
+        pool += picks
+    return CSRGraph.from_edges(src, dst, num_vertices=n)
+
+
+def _state(rng):
+    """``bit_generator.state`` with arrays as lists, so states compare with ``==``."""
+
+    def plain(x):
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        return x.tolist() if isinstance(x, np.ndarray) else x
+
+    return plain(rng.bit_generator.state)
+
+
+class TestBarabasiAlbertStream:
+    """The block-drawn generator equals one ``integers`` call per vertex."""
+
+    def assert_same_as_reference(self, n, attach, make_rng):
+        ours, theirs = make_rng(), make_rng()
+        built = gen.barabasi_albert(n, attach=attach, seed=ours)
+        expected = _reference_barabasi_albert(n, attach, theirs)
+        assert graph_digest(built) == graph_digest(expected)
+        assert np.array_equal(built.indptr, expected.indptr)
+        assert np.array_equal(built.indices, expected.indices)
+        assert _state(ours) == _state(theirs)
+        return built, ours
+
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [
+            np.random.PCG64,
+            np.random.MT19937,
+            np.random.Philox,
+            np.random.SFC64,
+            np.random.PCG64DXSM,
+        ],
+    )
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "half-word"])
+    @pytest.mark.parametrize("n, attach", [(400, 3), (150, 1)])
+    def test_bit_generators(self, bit_generator, buffered, n, attach):
+        def make_rng():
+            rng = np.random.Generator(bit_generator(5))
+            if buffered:  # leaves half of a 64-bit output buffered
+                rng.integers(0, 2**32, dtype=np.uint32)
+            return rng
+
+        self.assert_same_as_reference(n, attach, make_rng)
+
+    def test_duplicate_picks_dominate(self):
+        # 20 picks among the 21 seed-clique vertices: most arrivals repeat one
+        n, attach = 60, 20
+        g, _ = self.assert_same_as_reference(n, attach, lambda: np.random.default_rng(3))
+        arrivals = range(attach + 1, n)
+        short = [v for v in arrivals if np.count_nonzero(g.neighbors(v) < v) < attach]
+        assert len(short) > 0.9 * len(arrivals)
+
+    def test_standard_powerlaw_graph(self):
+        # The suite's standard powerlaw graph; its stream has a real Lemire
+        # rejection, so the generator draws past its block of words.
+        n, attach = 32768, 8
+        _, ours = self.assert_same_as_reference(n, attach, lambda: np.random.default_rng(2))
+        block_only = np.random.default_rng(2)
+        block_only.integers(0, 2**32, size=(n - attach - 1) * attach, dtype=np.uint32)
+        assert _state(block_only) != _state(ours)
+        block_only.integers(0, 2**32, dtype=np.uint32)
+        assert _state(block_only) == _state(ours)
 
 
 class TestPowerlawCluster:

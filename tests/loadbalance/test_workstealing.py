@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.loadbalance.workstealing import (
     StealingConfig,
@@ -46,6 +48,31 @@ class TestStaticPersistent:
     def test_rejects_bad_costs(self, costs):
         with pytest.raises(ValueError, match="finite and non-negative"):
             simulate_static_persistent(np.array(costs), np.array([0, 1]), 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        costs=st.lists(
+            st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
+            | st.sampled_from([0.0, -0.0, 1e-300, 0.1, 3.0]),
+            max_size=80,
+        ),
+        workers=st.integers(1, 20),
+        pop=st.sampled_from([0.0, 8.0, 2.5]),
+    )
+    def test_omitted_owner_sums_the_slabs_like_add_at(self, costs, workers, pop):
+        # owner=None means the contiguous slabs arange(n) // ceil(n / workers)
+        costs = np.array(costs, dtype=np.float64)
+        owner = np.arange(costs.size) // max(1, -(-costs.size // workers))
+        slab = simulate_static_persistent(costs, None, workers, pop_cycles=pop)
+        scatter = simulate_static_persistent(costs, owner, workers, pop_cycles=pop)
+        assert repr(slab.makespan_cycles) == repr(scatter.makespan_cycles)
+        for field in ("busy_cycles", "overhead_cycles", "chunks_executed"):
+            a, b = getattr(slab, field), getattr(scatter, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+    def test_omitted_owner_needs_workers(self):
+        with pytest.raises(ValueError, match="num_workers"):
+            simulate_static_persistent(np.array([1.0]), None, 0)
 
 
 class TestWorkStealing:
