@@ -44,11 +44,6 @@ a determinism or correctness rationale that ruff/flake8 cannot express:
   sanctioned way to get a connection elsewhere. Passing
   ``check_same_thread=False`` is flagged *anywhere* — it disables the
   one guard sqlite itself provides.
-* ``RC007`` **locked-shm-attach** — no ``SharedMemory(...)``
-  construction outside :mod:`repro.harness.parallel`. Attaching to a
-  segment races with the creator's unlink unless it goes through the
-  registry lock in ``attach_graph``; a stray attach can resurrect a
-  segment mid-teardown and leak it past interpreter exit.
 * ``RC008`` **declared-width-index-math** — inside ``coloring/`` and
   ``graphs/``, (a) no ``.astype(...)`` to a narrow integer dtype
   (int32 and smaller): narrowing truncates silently, so every such
@@ -88,7 +83,6 @@ RULES: dict[str, str] = {
     "RC004": "trace-list append inside a loop outside the repro.obs sinks",
     "RC005": "direct records.jsonl write outside repro.store / the export shim",
     "RC006": "sqlite3 connection opened outside repro.store",
-    "RC007": "SharedMemory attach outside the locked harness.parallel path",
     "RC008": "narrowing int astype / bare int32 index arithmetic in index code",
 }
 
@@ -129,9 +123,6 @@ _RECORDS_WRITERS = ("repro/store/", "analysis/experiment.py")
 
 #: the only package allowed to open sqlite connections directly.
 _SQLITE_OWNERS = ("repro/store/",)
-
-#: the only module allowed to construct/attach SharedMemory segments.
-_SHM_OWNERS = ("harness/parallel",)
 
 #: path fragments the index-width rule (RC008) applies to: the layers
 #: that do vertex/edge index arithmetic on declared-width arrays.
@@ -260,7 +251,6 @@ class _Checker(ast.NodeVisitor):
         loop_depths: dict[int, int] | None = None,
         in_records_writer: bool = False,
         in_sqlite_owner: bool = False,
-        in_shm_owner: bool = False,
         in_index_domain: bool = False,
     ) -> None:
         self.path = path
@@ -268,7 +258,6 @@ class _Checker(ast.NodeVisitor):
         self.in_obs = in_obs
         self.in_records_writer = in_records_writer
         self.in_sqlite_owner = in_sqlite_owner
-        self.in_shm_owner = in_shm_owner
         self.in_index_domain = in_index_domain
         self.loop_depths = loop_depths if loop_depths is not None else {}
         self.violations: list[LintViolation] = []
@@ -452,20 +441,6 @@ class _Checker(ast.NodeVisitor):
                     "across threads; keep connections thread-confined",
                 )
 
-    # -- RC007 ----------------------------------------------------------
-
-    def _check_shm_attach(self, node: ast.Call, chain: list[str]) -> None:
-        if self.in_shm_owner:
-            return
-        if chain and chain[-1] == "SharedMemory":
-            self._flag(
-                "RC007",
-                node,
-                f"{'.'.join(chain)}(...) outside repro.harness.parallel — "
-                "attach through attach_graph, which holds the registry "
-                "lock against creator unlink",
-            )
-
     # -- RC008 ----------------------------------------------------------
 
     @staticmethod
@@ -540,7 +515,6 @@ class _Checker(ast.NodeVisitor):
             self._check_setflags(node, chain)
             self._check_trace_append(node, chain)
             self._check_sqlite_connect(node, chain)
-            self._check_shm_attach(node, chain)
         self._check_records_write(node)
         self._check_narrowing_astype(node)
         self.generic_visit(node)
@@ -559,20 +533,18 @@ class _Checker(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _domain_flags(path: str) -> tuple[bool, bool, bool, bool, bool, bool]:
+def _domain_flags(path: str) -> tuple[bool, bool, bool, bool, bool]:
     posix = Path(path).as_posix()
     in_sim = any(frag in posix for frag in _SIM_DOMAIN)
     in_obs = "obs/" in posix or posix.endswith("obs")
     in_records_writer = any(frag in posix for frag in _RECORDS_WRITERS)
     in_sqlite_owner = any(frag in posix for frag in _SQLITE_OWNERS)
-    in_shm_owner = any(frag in posix for frag in _SHM_OWNERS)
     in_index_domain = any(frag in posix for frag in _INDEX_DOMAIN)
     return (
         in_sim,
         in_obs,
         in_records_writer,
         in_sqlite_owner,
-        in_shm_owner,
         in_index_domain,
     )
 
@@ -596,7 +568,6 @@ def lint_source(source: str, path: str = "<string>") -> list[LintViolation]:
         in_obs,
         in_records_writer,
         in_sqlite_owner,
-        in_shm_owner,
         in_index_domain,
     ) = _domain_flags(path)
     checker = _Checker(
@@ -606,7 +577,6 @@ def lint_source(source: str, path: str = "<string>") -> list[LintViolation]:
         loop_depths=_loop_depths(tree),
         in_records_writer=in_records_writer,
         in_sqlite_owner=in_sqlite_owner,
-        in_shm_owner=in_shm_owner,
         in_index_domain=in_index_domain,
     )
     checker.visit(tree)

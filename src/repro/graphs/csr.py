@@ -340,6 +340,11 @@ class CSRGraph:
             self._indices, other._indices
         )
 
+    def __reduce__(self) -> tuple[object, tuple[np.ndarray, np.ndarray]]:
+        # Unpickled arrays come back writable; rebuilding through
+        # __init__ keeps a worker's copy frozen like the original.
+        return _unpickle, (self._indptr, self._indices)
+
     def __hash__(self) -> int:
         return hash((self._n, self._indices.size, self._indices.tobytes()[:256]))
 
@@ -351,3 +356,8 @@ class CSRGraph:
 
     def __len__(self) -> int:
         return self._n
+
+
+def _unpickle(indptr: np.ndarray, indices: np.ndarray) -> CSRGraph:
+    """Rebuild a pickled graph; it was validated when first built."""
+    return CSRGraph(indptr, indices, validate=False)

@@ -3,14 +3,7 @@
 from .artifacts import ArtifactCache, cache_from_env, graph_key
 from .autotune import TuneOutcome, autotune, candidate_configs
 from .batch import BatchJob, run_batch, run_batch_cell, save_rows_csv, save_rows_json
-from .parallel import (
-    SharedGraphRef,
-    SharedGraphStore,
-    attach_graph,
-    derive_seed,
-    parallel_map,
-    run_batch_parallel,
-)
+from .parallel import parallel_map, run_batch_parallel
 from .runner import (
     CPU_ALGORITHMS,
     GPU_ALGORITHMS,
@@ -45,10 +38,6 @@ __all__ = [
     "ArtifactCache",
     "cache_from_env",
     "graph_key",
-    "SharedGraphRef",
-    "SharedGraphStore",
-    "attach_graph",
-    "derive_seed",
     "parallel_map",
     "run_batch_parallel",
 ]

@@ -132,9 +132,9 @@ def run_batch(
     With ``parallel_jobs > 1`` the cells run across that many worker
     processes (see :func:`repro.harness.parallel.run_batch_parallel`):
     each cell gets a fresh worker context on the same device and memory
-    model, graphs are shared read-only via shared memory, rows come back
-    in job order, and — because every cell is self-contained — the rows
-    are bit-identical to a serial run.
+    model, each graph is built once in the parent and sent with its
+    cells, rows come back in job order, and — because every cell is
+    self-contained — the rows are bit-identical to a serial run.
     A tracer on ``context`` still receives every worker's events, merged
     in job order; ``context.counters`` does not aggregate across
     processes.

@@ -136,30 +136,26 @@ def simulate_static_persistent(
     This is the static baseline the work-stealing figure compares
     against; makespan is simply the heaviest worker. ``owner=None`` gives
     the executor's contiguous slabs of ``ceil(n / num_workers)`` chunks,
-    as in :func:`simulate_work_stealing`: each slab is summed in chunk
-    order as the last column of a row-wise ``np.add.accumulate``, the same
-    additions ``np.add.at`` makes for an explicit owner.
+    as in :func:`simulate_work_stealing`. Each worker's busy time is one
+    ``np.bincount`` sum, which adds its chunks in chunk order from 0.0,
+    the same additions ``np.add.at`` makes.
     """
     costs = as_chunk_costs(chunk_cycles)
     n, w = costs.size, num_workers
     if owner is None:
         if w <= 0:
             raise ValueError("num_workers must be positive")
-        per, count = _slabs(n, w)
-        slabs = np.zeros(w * per)
-        slabs[:n] = costs
-        # 0.0 + first cost, as np.add.at starts from zeros (only -0.0 differs)
-        busy = 0.0 + np.add.accumulate(slabs.reshape(w, per), axis=1)[:, -1]
+        count = _slabs(n, w)[1]
+        who = np.repeat(np.arange(w), count)
     else:
         who = np.asarray(owner, dtype=np.int64).ravel()
         if costs.shape != who.shape:
             raise ValueError("chunk_cycles and owner must align")
         if who.size and (who.min() < 0 or who.max() >= w):
             raise ValueError("owner out of range")
-        busy = np.zeros(w, dtype=np.float64)
-        count = np.zeros(w, dtype=np.int64)
-        np.add.at(busy, who, costs)
-        np.add.at(count, who, 1)
+        count = np.bincount(who, minlength=w)
+    # float even with no chunks, where bincount would return int64 zeros
+    busy = np.bincount(who, weights=costs, minlength=w).astype(np.float64, copy=False)
     overhead = count * pop_cycles
     makespan = float((busy + overhead).max()) if w else 0.0
     return StealingResult(makespan, busy, overhead.astype(np.float64), count, 0, 0, 0)

@@ -5,10 +5,15 @@ Each thread opens its *own* :class:`~repro.store.db.RunStore`
 connection (sqlite connections are thread-bound; WAL mode makes the
 concurrent writers safe) and runs jobs through the ordinary harness
 entry points — :func:`~repro.harness.batch.run_batch_cell` serially,
-:func:`~repro.harness.batch.run_batch` with ``parallel_jobs`` when the
-server was given ``--job-workers N`` — so a row recorded through the
-server is bit-identical to one recorded by ``repro batch``/``repro
-pipeline run``.
+:func:`~repro.harness.parallel.run_batch_parallel` when the server was
+given ``--job-workers N`` — so a row recorded through the server is
+bit-identical to one recorded by ``repro batch``/``repro pipeline run``.
+
+Those worker processes start from the ``forkserver``, never by forking
+the server itself: a child forked while another server thread is inside
+sqlite inherits that thread's locked sqlite mutex and blocks on it
+forever when it records its cell. The fork server is single-threaded,
+and preloading the harness into it keeps each pool as cheap as a fork.
 
 Lifecycle is cooperative: cancellation raises a flag the worker checks
 between cells (a simulated kernel is not interruptible, a cell
@@ -38,7 +43,8 @@ from typing import TYPE_CHECKING
 
 from ..engine.context import RunContext
 from ..gpusim.device import named_device
-from ..harness.batch import run_batch, run_batch_cell
+from ..harness.batch import run_batch_cell
+from ..harness.parallel import run_batch_parallel
 from ..harness.suite import build
 from ..obs.registry import MetricsRegistry
 from ..store.db import RunStore, _jsonable, _utcnow
@@ -52,6 +58,9 @@ __all__ = ["JobExecutor"]
 
 #: queue sentinel that tells one worker thread to exit.
 _STOP = object()
+
+#: what the fork server imports once, so its children start warm.
+_FORKSERVER_PRELOAD = ["repro.harness.batch", "repro.store.recorder"]
 
 #: test hook: per-cell sleep, in milliseconds (see module docstring).
 DELAY_ENV = "REPRO_SERVE_TEST_DELAY_MS"
@@ -101,6 +110,10 @@ class JobExecutor:
     def start(self) -> None:
         if self._threads:
             return
+        if self.job_workers > 1:
+            import multiprocessing
+
+            multiprocessing.set_forkserver_preload(_FORKSERVER_PRELOAD)
         for i in range(self.workers):
             t = threading.Thread(
                 target=self._worker, name=f"serve-worker-{i}", daemon=True
@@ -234,12 +247,13 @@ class JobExecutor:
                 part = list(cells[lo : lo + chunk])
                 if self.job_workers > 1 and len(part) > 1:
                     rows.extend(
-                        run_batch(
+                        run_batch_parallel(
                             part,
                             scale=plan.scale,
+                            jobs=self.job_workers,
                             context=ctx,
-                            parallel_jobs=self.job_workers,
                             recorder=group_recorder,
+                            start_method="forkserver",
                         )
                     )
                 else:

@@ -148,7 +148,6 @@ class TestCheckLint:
             "RC004",
             "RC005",
             "RC006",
-            "RC007",
             "RC008",
         }
 

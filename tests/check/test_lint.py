@@ -248,39 +248,6 @@ class TestRC006SqliteOwnership:
         assert lint_source(src, HARNESS_PATH) == []
 
 
-class TestRC007SharedMemoryAttach:
-    PARALLEL_PATH = "src/repro/harness/parallel.py"
-
-    def test_bare_constructor_flagged(self):
-        src = (
-            "from multiprocessing.shared_memory import SharedMemory\n"
-            'shm = SharedMemory(name="g", create=False)\n'
-        )
-        assert _rules(lint_source(src, "src/repro/serve/executor.py"))
-        assert _rules(lint_source(src, "src/repro/serve/executor.py")) == {"RC007"}
-
-    def test_module_qualified_constructor_flagged(self):
-        src = (
-            "from multiprocessing import shared_memory\n"
-            'shm = shared_memory.SharedMemory(name="g")\n'
-        )
-        assert _rules(lint_source(src, HARNESS_PATH)) == {"RC007"}
-
-    def test_parallel_module_is_exempt(self):
-        src = (
-            "from multiprocessing.shared_memory import SharedMemory\n"
-            'shm = SharedMemory(name="g", create=True, size=64)\n'
-        )
-        assert lint_source(src, self.PARALLEL_PATH) == []
-
-    def test_suppression_comment(self):
-        src = (
-            "from multiprocessing.shared_memory import SharedMemory\n"
-            'shm = SharedMemory(name="g")  # check: allow(RC007)\n'
-        )
-        assert lint_source(src, HARNESS_PATH) == []
-
-
 class TestRC008NarrowIndexArith:
     GRAPHS_PATH = "src/repro/graphs/fake.py"
 
@@ -354,7 +321,6 @@ class TestMechanics:
             "RC004",
             "RC005",
             "RC006",
-            "RC007",
             "RC008",
         }
 

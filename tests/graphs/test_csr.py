@@ -1,5 +1,6 @@
 """Unit tests for the CSR graph substrate."""
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -166,6 +167,14 @@ class TestInvariantChecks:
             g.indices[0] = 2
         with pytest.raises(ValueError):
             g.indptr[0] = 1
+
+    def test_pickle_roundtrip_stays_frozen(self):
+        g = gen.barabasi_albert(64, attach=3, seed=5)
+        h = pickle.loads(pickle.dumps(g))
+        assert h == g
+        assert (h.indptr.dtype, h.indices.dtype) == (np.int64, np.int32)
+        assert not h.indptr.flags.writeable
+        assert not h.indices.flags.writeable
 
 
 class TestAccessors:

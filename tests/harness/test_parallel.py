@@ -1,11 +1,10 @@
-"""Tests for the parallel harness: pools, shared graphs, artifact cache.
+"""Tests for the parallel harness: pools, batch payloads, artifact cache.
 
 The contract under test is *determinism*: a parallel run may change
 wall-clock, never results.  Rows must be bit-identical at any worker
-count, shared-memory segments must be gone after the store closes even
-when a worker blew up mid-run, merged traces must read like a serial
-run, and the artifact cache must only ever save time (corrupt file ⇒
-miss, never a wrong graph).
+count and under both start methods, merged traces must read like a
+serial run, and the artifact cache must only ever save time (corrupt
+file ⇒ miss, never a wrong graph).
 """
 
 from pathlib import Path
@@ -18,13 +17,7 @@ from repro.gpusim.device import RADEON_HD_7950
 from repro.graphs import generators as gen
 from repro.harness.artifacts import ArtifactCache, graph_key
 from repro.harness.batch import BatchJob, run_batch
-from repro.harness.parallel import (
-    SharedGraphStore,
-    _detach_all,
-    attach_graph,
-    derive_seed,
-    parallel_map,
-)
+from repro.harness.parallel import parallel_map
 from repro.harness.sweeps import sweep
 from repro.obs.registry import MetricsRegistry
 
@@ -46,32 +39,14 @@ def _boom(x: int) -> int:
     raise RuntimeError("worker crashed on purpose")
 
 
-def _edge_count(ref) -> int:
-    """Worker-side probe: attach the shared graph, count its edges."""
-    graph = attach_graph(ref)
-    return int(graph.indptr[-1])
+def _graph_probe(graph) -> tuple[int, bool]:
+    """Worker-side probe: edge count and whether the arrays are writable."""
+    writable = graph.indptr.flags.writeable or graph.indices.flags.writeable
+    return graph.num_edges, writable
 
 
 def _measure(chunk_size: int, scale: float) -> dict[str, float]:
     return {"value": chunk_size * scale}
-
-
-def _shm_paths(store: SharedGraphStore) -> list[Path]:
-    return [Path("/dev/shm") / ref.shm_name for ref in store._refs.values()]
-
-
-class TestDeriveSeed:
-    def test_deterministic(self):
-        assert derive_seed(0, 7) == derive_seed(0, 7)
-
-    def test_distinct_per_index_and_base(self):
-        seeds = {derive_seed(b, i) for b in range(3) for i in range(100)}
-        assert len(seeds) == 300
-
-    def test_non_negative_int64(self):
-        for i in range(50):
-            s = derive_seed(123, i)
-            assert 0 <= s < 2**63
 
 
 class TestParallelMap:
@@ -86,91 +61,11 @@ class TestParallelMap:
         with pytest.raises(RuntimeError, match="on purpose"):
             parallel_map(_boom, [1, 2, 3], jobs=2)
 
-
-@pytest.mark.skipif(
-    not Path("/dev/shm").is_dir(), reason="POSIX shared memory not visible"
-)
-class TestSharedGraphStore:
-    def test_publish_attach_roundtrip(self):
-        graph = gen.rmat(7, edge_factor=8, seed=1)
-        with SharedGraphStore() as store:
-            ref = store.publish("g", graph)
-            attached = attach_graph(ref)
-            assert np.array_equal(attached.indptr, graph.indptr)
-            assert np.array_equal(attached.indices, graph.indices)
-            assert attached.num_vertices == graph.num_vertices
-            assert attached.num_edges == graph.num_edges
-            _detach_all()
-
-    def test_publish_is_idempotent_per_key(self):
-        graph = gen.grid_2d(8, 8)
-        with SharedGraphStore() as store:
-            assert store.publish("g", graph) is store.publish("g", graph)
-            assert len(store._segments) == 1
-
-    def test_workers_attach_zero_copy(self):
+    def test_graph_payload_arrives_frozen(self):
+        # a pickled graph keeps the CSR read-only contract in the worker
         graph = gen.barabasi_albert(128, attach=4, seed=2)
-        with SharedGraphStore() as store:
-            ref = store.publish("g", graph)
-            counts = parallel_map(_edge_count, [ref] * 6, jobs=3)
-        assert counts == [2 * graph.num_edges] * 6
-
-    def test_close_unlinks_segments(self):
-        store = SharedGraphStore()
-        store.publish("g", gen.grid_2d(6, 6))
-        paths = _shm_paths(store)
-        assert all(p.exists() for p in paths)
-        store.close()
-        assert not any(p.exists() for p in paths)
-        store.close()  # idempotent
-
-    def test_concurrent_attach_restores_tracker_register(self):
-        # Regression: unsynchronized attachers could capture each
-        # other's no-op patch as the "original" resource_tracker.register
-        # and leave tracker registration disabled process-wide. Attaches
-        # now serialize on a module lock; after any storm of concurrent
-        # attaches the real register function must be back in place.
-        import threading
-
-        from multiprocessing import resource_tracker
-
-        from repro.harness import parallel as par
-
-        real_register = resource_tracker.register
-        graphs = {f"g{i}": gen.grid_2d(6, 6) for i in range(4)}
-        with SharedGraphStore() as store:
-            refs = [store.publish(k, g) for k, g in graphs.items()]
-            errors = []
-
-            def attach_many():
-                try:
-                    for ref in refs:
-                        attach_graph(ref)
-                except Exception as exc:  # noqa: BLE001
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=attach_many) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            _detach_all()
-        assert not errors
-        assert resource_tracker.register is real_register
-        if not par._HAS_TRACK_KWARG:
-            # the patch path must never leave a lambda installed
-            assert resource_tracker.register.__name__ == real_register.__name__
-
-    def test_cleanup_after_worker_crash(self):
-        # a crashing worker must not leak the parent-owned segments —
-        # the context manager unlinks them on the way out of the raise
-        paths = []
-        with pytest.raises(RuntimeError, match="on purpose"):
-            with SharedGraphStore() as store:
-                ref = store.publish("g", gen.grid_2d(8, 8))
-                paths = _shm_paths(store)
-                parallel_map(_boom, [ref] * 4, jobs=2)
-        assert paths and not any(p.exists() for p in paths)
+        got = parallel_map(_graph_probe, [graph] * 3, jobs=2)
+        assert got == [(graph.num_edges, False)] * 3
 
 
 class TestRunBatchParallel:

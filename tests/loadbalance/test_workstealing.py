@@ -70,6 +70,13 @@ class TestStaticPersistent:
             a, b = getattr(slab, field), getattr(scatter, field)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
+    @pytest.mark.parametrize("owner", [None, np.array([], dtype=np.int64)])
+    def test_no_chunks_gives_float_zero_busy(self, owner):
+        res = simulate_static_persistent(np.array([]), owner, 3)
+        assert res.busy_cycles.dtype == np.float64
+        assert res.busy_cycles.tolist() == [0.0, 0.0, 0.0]
+        assert res.makespan_cycles == 0.0
+
     def test_omitted_owner_needs_workers(self):
         with pytest.raises(ValueError, match="num_workers"):
             simulate_static_persistent(np.array([1.0]), None, 0)

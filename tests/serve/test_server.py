@@ -262,6 +262,36 @@ class TestRecover:
         assert rows_a and rows_a == rows_b
 
 
+class TestJobWorkers:
+    @staticmethod
+    def _run_batch(store_path, job_workers):
+        app = ServeApp(store_path, workers=1, job_workers=job_workers)
+        server = make_server(app, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address
+        client = ServeClient(f"http://{host}:{port}")
+        try:
+            job = client.submit(BATCH4)
+            assert client.wait(job["job_id"], timeout=300)["state"] == "done"
+            rows = client.result(job["job_id"])["result"]
+        finally:
+            server.shutdown()
+            server.server_close()
+            app.close()
+        with RunStore(store_path) as store:
+            return rows, store.canonical_rows()
+
+    def test_job_workers_match_serial(self, tmp_path):
+        # cells fanned out over worker processes serve and record the
+        # same rows as the in-thread path
+        rows_1, stored_1 = self._run_batch(tmp_path / "one.sqlite", 1)
+        rows_2, stored_2 = self._run_batch(tmp_path / "two.sqlite", 2)
+        assert len(rows_1) == len(BATCH4["datasets"])
+        assert rows_1 == rows_2
+        assert stored_1 and stored_1 == stored_2
+
+
 class TestMetricsAndHealth:
     def test_health_shape(self, served):
         _, client, _ = served

@@ -26,11 +26,15 @@ class TestVersionFlag:
 
 
 class TestImportCost:
-    def test_cli_import_does_not_load_scipy(self):
-        # SciPy is imported inside the functions that need it, never at startup
+    @pytest.mark.parametrize(
+        "prefix", ["scipy", "multiprocessing", "concurrent.futures"]
+    )
+    def test_cli_import_does_not_load(self, prefix):
+        # SciPy and the process pool are imported inside the functions
+        # that need them, never at startup
         code = (
             "import sys, repro.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+            f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
         )
         src = str(Path(repro.__file__).resolve().parents[1])
         proc = subprocess.run(
