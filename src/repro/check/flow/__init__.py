@@ -30,11 +30,6 @@ Layers (each building on the previous):
   the value-range analysis over the same affine domain that certifies
   each integer intermediate as fits-int32 / needs-int64 under
   explicit scale premises.
-* :mod:`~repro.check.flow.lower` — verified lowering of certified
-  kernels into a typed IR with explicit casts, plus a C emitter built
-  via cffi; emission refuses any kernel lacking a memsafe ok-verdict
-  and clean type/overflow certificates (the S44 gate, enforced in
-  code).
 
 The kernels analyzed are the executable per-thread specs in
 :mod:`repro.coloring.device_kernels`, which the test suite runs
@@ -83,19 +78,6 @@ from .memsafe import (
     verify_device_kernels,
     verify_kernel,
     verify_kernels,
-)
-from .lower import (
-    CompiledLauncher,
-    IRKernel,
-    IRParam,
-    KernelCertificate,
-    LoweringRefused,
-    certificate_for,
-    compile_c,
-    emit_c,
-    lower_all,
-    lower_kernel,
-    render_ir,
 )
 from .overflow import (
     PREMISES,
@@ -175,15 +157,4 @@ __all__ = [
     "certify_all",
     "certify_kernel",
     "eval_at",
-    "CompiledLauncher",
-    "IRKernel",
-    "IRParam",
-    "KernelCertificate",
-    "LoweringRefused",
-    "certificate_for",
-    "compile_c",
-    "emit_c",
-    "lower_all",
-    "lower_kernel",
-    "render_ir",
 ]

@@ -3,10 +3,9 @@
 The dynamic race detector (:mod:`repro.check.races`) *observes* an
 algorithm's access pattern by running its kernel specs under an access
 log; this module *proves* the same properties from the kernel source
-alone, so the compiled backend can accept a spec without a run. It
-walks each per-thread kernel in :mod:`repro.coloring.device_kernels`
-with an abstract interpreter over the :mod:`~repro.check.flow.regions`
-domain and produces two artifacts:
+alone, without a run. It walks each per-thread kernel in
+:mod:`repro.coloring.device_kernels` with an abstract interpreter over
+the :mod:`~repro.check.flow.regions` domain and produces two artifacts:
 
 * **per-access bounds proofs** — every subscript's index interval is
   discharged against the array's declared length using the CSR

@@ -36,8 +36,7 @@ Each integer value gets one verdict:
   as a witness. Registered kernels must never produce this.
 
 A value *declared* int32 whose range exceeds int32 is an **issue**
-(a real overflow), and the kernel loses its certificate —
-:mod:`~repro.check.flow.lower` then refuses to emit it.
+(a real overflow), and the kernel loses its certificate.
 """
 
 from __future__ import annotations

@@ -14,16 +14,14 @@ priorities float64, …), and assigns
   element dtype and a symbolic shape (``n + 1``, ``m``, ``W``, or the
   allocation expression for private arrays),
 * every named local one flow-insensitive dtype (the join of all its
-  assignments), which is exactly the single declaration a C lowering
-  needs.
+  assignments).
 
 The policy mirrors what a compiler for the specs must enforce:
 
 * **Integer widening is legal but never silent.** ``int32 + int64``
-  promotes to ``int64`` and is recorded as an implicit-cast note;
-  :mod:`~repro.check.flow.lower` turns each note into an explicit
-  ``Cast`` op. Python integer literals are *weak* (NEP-50 style) and
-  adapt to the other operand without a note.
+  promotes to ``int64`` and is recorded as an implicit-cast note.
+  Python integer literals are *weak* (NEP-50 style) and adapt to the
+  other operand without a note.
 * **Mixed int/float arithmetic is rejected.** A priority must never
   meet an offset in one expression without an explicit conversion —
   there are none in the specs, and none may creep in.
@@ -32,9 +30,7 @@ The policy mirrors what a compiler for the specs must enforce:
   :mod:`~repro.check.flow.overflow` exists precisely so narrow types
   are *proven*, not assumed.
 
-A kernel's type certificate is clean when no issue was recorded;
-:func:`repro.check.flow.lower.lower_kernel` refuses kernels without
-one (the S44 gate).
+A kernel's type certificate is clean when no issue was recorded.
 """
 
 from __future__ import annotations
@@ -139,9 +135,6 @@ class KernelTypeReport:
     arrays: dict[str, ArrayType]
     casts: list[str]
     issues: list[TypeIssue]
-    #: expression node ``id()`` (within ``tree``) → inferred type; the
-    #: lowering walks the same tree and reads its dtypes from here.
-    expr_types: dict[int, AbsType] = field(repr=False, default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -191,8 +184,8 @@ class _TypeWalker:
     Locals are flow-insensitive: a name's dtype is the join of every
     assignment to it (ints widen, kind changes are errors). The
     widening passes run with reporting off until the local table is
-    stable, then one reporting pass records expression types, implicit
-    casts, and issues exactly once.
+    stable, then one reporting pass records implicit casts and issues
+    exactly once.
     """
 
     _MAX_PASSES = 4
@@ -204,7 +197,6 @@ class _TypeWalker:
         self.locals: dict[str, AbsType | ArrayType] = {}
         self.issues: list[TypeIssue] = []
         self.casts: list[str] = []
-        self.expr_types: dict[int, AbsType] = {}
         self._collect = False
         self._globals = getattr(kernel.fn, "__globals__", {})
         self._seed_params()
@@ -427,12 +419,6 @@ class _TypeWalker:
     # -- expressions ----------------------------------------------------
 
     def _eval(self, node: ast.expr) -> AbsType | ArrayType:
-        t = self._eval_inner(node)
-        if self._collect and isinstance(t, AbsType):
-            self.expr_types[id(node)] = t
-        return t
-
-    def _eval_inner(self, node: ast.expr) -> AbsType | ArrayType:
         if isinstance(node, ast.Constant):
             if isinstance(node.value, bool):
                 return BOOL
@@ -547,8 +533,6 @@ class _TypeWalker:
         if not isinstance(known, ArrayType):
             self._issue(node.lineno, f"subscript of non-array {name!r}")
             return None
-        if self._collect:
-            self.expr_types[id(node.value)] = known.elem
         return name, known
 
     def _check_index(self, index: ast.expr, line: int) -> None:
@@ -586,17 +570,13 @@ class _TypeWalker:
 # ----------------------------------------------------------------------
 
 
-def infer_kernel_types(
-    kernel: DeviceKernel, tree: ast.FunctionDef | None = None
-) -> KernelTypeReport:
+def infer_kernel_types(kernel: DeviceKernel) -> KernelTypeReport:
     """The dtype/shape certificate of one kernel spec.
 
-    Passing ``tree`` (a pre-parsed :func:`kernel_ast`) lets callers
-    share one AST between this pass, the overflow prover, and the
-    lowering, so ``expr_types`` node ids line up across all three.
+    The report keeps the parsed AST as ``tree``; the overflow prover
+    walks that same tree.
     """
-    if tree is None:
-        tree = kernel_ast(kernel)
+    tree = kernel_ast(kernel)
     walker = _TypeWalker(kernel, tree)
     walker.run()
     arrays = {
@@ -619,7 +599,6 @@ def infer_kernel_types(
         arrays=arrays,
         casts=walker.casts,
         issues=walker.issues,
-        expr_types=walker.expr_types,
     )
 
 

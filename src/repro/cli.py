@@ -18,7 +18,6 @@ Subcommands::
     repro-color check golden --write           # golden digests / drift
     repro-color check verify                   # static race/bounds verifier
     repro-color check types                    # dtype/overflow certification
-    repro-color check lower --emit c           # verified lowering to C
     repro-color pipeline run report-smoke --store ci.sqlite
     repro-color report --store ci.sqlite --fail-on-regression
     repro-color db info                        # run-store table counts
@@ -449,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser(
         "check",
         help="correctness tooling: validators, races, lint, golden, "
-        "verify, types, lower",
+        "verify, types",
     )
     check_sub = p_check.add_subparsers(dest="check_command", required=True)
 
@@ -601,38 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--details", action="store_true", help="print per-value ranges"
     )
     c_types.add_argument("--json", action="store_true", help="emit JSON to stdout")
-
-    c_lower = check_sub.add_parser(
-        "lower",
-        help="verified lowering of certified kernels to a typed IR "
-        "with a C emitter (refuses uncertified kernels)",
-    )
-    c_lower.add_argument(
-        "--kernel",
-        "-k",
-        default=None,
-        help="lower one registered kernel (default: all)",
-    )
-    c_lower.add_argument(
-        "--emit",
-        choices=("ir", "c"),
-        default="ir",
-        help="what to print: the typed IR (default) or the C translation "
-        "unit",
-    )
-    c_lower.add_argument(
-        "--diff",
-        action="store_true",
-        help="cffi-compile the emitted C and check a tiny coloring "
-        "differential against the per-thread interpreter",
-    )
-    c_lower.add_argument(
-        "--wavefront-size",
-        type=int,
-        default=64,
-        help="lanes per wavefront for certification and launchers",
-    )
-    c_lower.add_argument("--json", action="store_true", help="emit JSON to stdout")
 
     p_serve = sub.add_parser(
         "serve", help="run the coloring job server (see repro.serve)"
@@ -1792,14 +1759,15 @@ def _check_kernels(kernel: str | None) -> list:
 
 
 def _cmd_check_types(args: argparse.Namespace) -> int:
-    from .check.flow.lower import certificate_for
+    from .check.flow.overflow import certify_kernel
+    from .check.flow.types import infer_kernel_types
 
     kernels = _check_kernels(args.kernel)
     items: list[dict[str, object]] = []
     failed = 0
     for kernel in kernels:
-        cert = certificate_for(kernel, wavefront_size=args.wavefront_size)
-        tr, ov = cert.types, cert.overflow
+        tr = infer_kernel_types(kernel)
+        ov = certify_kernel(kernel, tr, wavefront_size=args.wavefront_size)
         clean = tr.ok and ov.ok
         if not clean:
             failed += 1
@@ -1839,91 +1807,6 @@ def _cmd_check_types(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_check_lower(args: argparse.Namespace) -> int:
-    from .check.flow.lower import (
-        LoweringRefused,
-        certificate_for,
-        emit_c,
-        lower_kernel,
-        render_ir,
-    )
-
-    kernels = _check_kernels(args.kernel)
-    items: list[dict[str, object]] = []
-    irs = []
-    failed = 0
-    for kernel in kernels:
-        cert = certificate_for(kernel, wavefront_size=args.wavefront_size)
-        entry: dict[str, object] = {
-            "kernel": kernel.name,
-            "verdicts": cert.verdicts(),
-            "issues": list(cert.reasons),
-        }
-        if cert.ok:
-            try:
-                irs.append(lower_kernel(kernel, cert))
-            except LoweringRefused as exc:
-                entry["issues"] = list(entry["issues"]) + [str(exc)]  # type: ignore[operator]
-                failed += 1
-        else:
-            failed += 1
-            if not args.json:
-                print(f"lower:{kernel.name} — REFUSED")
-                for reason in cert.reasons:
-                    print(f"    {reason}")
-        items.append(entry)
-
-    if not args.json and irs:
-        if args.emit == "c":
-            source, _ = emit_c(irs)
-            print(source)
-        else:
-            for ir in irs:
-                print(render_ir(ir))
-                print()
-
-    diff_rows: list[dict[str, object]] = []
-    diff_failed = 0
-    if args.diff and not failed:
-        import numpy as np
-
-        from .check.flow.lower import compile_c
-        from .coloring.interp import INTERP_ALGORITHMS, ThreadLauncher, run_coloring
-        from .harness.suite import build
-
-        if args.kernel is not None:
-            raise SystemExit("error: --diff needs the full kernel set (drop -k)")
-        compiled = compile_c(wavefront_size=args.wavefront_size)
-        graph = build("rmat", scale="tiny")
-        reference = ThreadLauncher()
-        for algo in INTERP_ALGORITHMS:
-            a = run_coloring(graph, algo, reference)
-            b = run_coloring(graph, algo, compiled)
-            same = bool(np.array_equal(a, b))
-            diff_rows.append(
-                {"algorithm": algo, "identical": same, "colors": int(a.max()) + 1}
-            )
-            if not same:
-                diff_failed += 1
-            if not args.json:
-                status = "identical" if same else "MISMATCH"
-                print(f"diff:{algo} — compiled C vs interpreter: {status}")
-
-    ok = failed == 0 and diff_failed == 0
-    if args.json:
-        extras: dict[str, object] = {
-            "emit": args.emit,
-            "wavefront_size": args.wavefront_size,
-        }
-        if args.diff:
-            extras["diff"] = diff_rows
-        _print_envelope("lower", ok, items, **extras)
-        return 0 if ok else 1
-    status = "ok" if ok else f"{failed} refused, {diff_failed} diff mismatches"
-    print(f"repro lower: {len(kernels)} kernels, {status}")
-    return 0 if ok else 1
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     handlers = {
         "validate": _cmd_check_validate,
@@ -1933,7 +1816,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         "flow": _cmd_check_flow,
         "verify": _cmd_check_verify,
         "types": _cmd_check_types,
-        "lower": _cmd_check_lower,
     }
     return handlers[args.check_command](args)
 

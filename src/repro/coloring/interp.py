@@ -2,11 +2,10 @@
 
 The vectorized algorithm modules are the simulator's hosts; the
 per-thread specs in :mod:`~repro.coloring.device_kernels` are what the
-static analyses certify and what :mod:`repro.check.flow.lower` emits
-as C. This module is the bridge that makes the certified artifact
-*runnable end to end*: it drives a full coloring using nothing but
-kernel launches — exactly the host loop a GPU runtime would execute —
-against a pluggable launcher:
+static analyses certify. This module is the bridge that makes the
+certified artifact *runnable end to end*: it drives a full coloring
+using nothing but kernel launches — exactly the host loop a GPU runtime
+would execute — against a pluggable launcher:
 
 * :class:`ThreadLauncher` — the reference interpreter: runs the
   Python spec once per thread, ascending ids; wavefront kernels run
@@ -15,10 +14,6 @@ against a pluggable launcher:
   (each step reads ``scratch[lane + step]``, written by a higher
   lane), the same order the spec-equivalence tests execute
   (:func:`launch_order`).
-* the compiled launcher from :mod:`repro.check.flow.lower` — same
-  ``launch`` protocol, kernels run as emitted C (via cffi). Running it
-  and the interpreter and comparing final colors bit-for-bit is the
-  differential proof that the lowering preserved semantics.
 * the access-logging launcher from :mod:`repro.check.races` — the
   interpreter's thread order, with every global-array access logged
   for the dynamic race check.
@@ -112,8 +107,8 @@ def run_coloring(
 ) -> np.ndarray:
     """Color ``graph`` end to end through kernel launches alone.
 
-    Deterministic in (graph, algorithm, seed, priority): both the
-    reference interpreter and a compiled launcher must return
+    Deterministic in (graph, algorithm, seed, priority): every launcher
+    that keeps the reference interpreter's semantics returns
     bit-identical colors. ``mapping="wavefront"`` selects the
     cooperative max-min kernel (maxmin only).
     """

@@ -13,7 +13,9 @@ Supports reading and writing:
 
 All readers return :class:`~repro.graphs.csr.CSRGraph` (undirected,
 deduplicated, self-loops dropped); all writers round-trip with the
-matching reader.
+matching reader. The DIMACS, METIS and edge-list readers raise
+:class:`GraphFormatError` naming ``path:line`` for input they cannot
+parse.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 from .csr import CSRGraph
 
 __all__ = [
+    "GraphFormatError",
     "load_graph",
     "read_matrix_market",
     "write_matrix_market",
@@ -39,6 +42,27 @@ __all__ = [
     "read_edge_list",
     "write_edge_list",
 ]
+
+
+class GraphFormatError(ValueError):
+    """A graph file that does not parse; the message starts ``path:line:``."""
+
+    def __init__(self, path: str | os.PathLike, line: int | None, message: str) -> None:
+        self.path = os.fspath(path)
+        self.line = line
+        where = self.path if line is None else f"{self.path}:{line}"
+        super().__init__(f"{where}: {message}")
+
+
+def _ints(path: str | os.PathLike, line: int, tokens: list[str]) -> list[int]:
+    """``tokens`` as ints; a :class:`GraphFormatError` names the first that is not."""
+    values = []
+    for tok in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise GraphFormatError(path, line, f"expected an integer, got {tok!r}") from None
+    return values
 
 
 def _open_text(path: str | os.PathLike, mode: str = "rt") -> IO[str]:
@@ -96,22 +120,23 @@ def read_dimacs_coloring(path: str | os.PathLike) -> CSRGraph:
     us: list[int] = []
     vs: list[int] = []
     with _open_text(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("c"):
                 continue
             parts = line.split()
             if parts[0] == "p":
                 if len(parts) < 4 or parts[1] not in ("edge", "edges", "col"):
-                    raise ValueError(f"malformed problem line: {line!r}")
-                n = int(parts[2])
+                    raise GraphFormatError(path, lineno, f"malformed problem line: {line!r}")
+                (n,) = _ints(path, lineno, parts[2:3])
             elif parts[0] == "e":
                 if len(parts) < 3:
-                    raise ValueError(f"malformed edge line: {line!r}")
-                us.append(int(parts[1]) - 1)
-                vs.append(int(parts[2]) - 1)
+                    raise GraphFormatError(path, lineno, f"malformed edge line: {line!r}")
+                u, v = _ints(path, lineno, parts[1:3])
+                us.append(u - 1)
+                vs.append(v - 1)
     if n < 0:
-        raise ValueError("missing 'p edge' problem line")
+        raise GraphFormatError(path, None, "missing 'p edge' problem line")
     return CSRGraph.from_edges(us, vs, num_vertices=n)
 
 
@@ -134,34 +159,36 @@ def read_metis(path: str | os.PathLike) -> CSRGraph:
     """Read a METIS adjacency file (1-based neighbor lists per line).
 
     Only the unweighted format (fmt code absent or ``0``/``00``/``000``)
-    is supported; weighted files raise ``ValueError``.
+    is supported; weighted files raise :class:`GraphFormatError`.
     """
     with _open_text(path) as fh:
         lines = _metis_lines(fh)
-        header = next(lines, None)
+        lineno, header = next(lines, (None, None))
         if header is None:
-            raise ValueError("empty METIS file")
-        head = header.split()
-        n = int(head[0])
-        if len(head) >= 3 and int(head[2]) != 0:
-            raise ValueError("weighted METIS graphs are not supported")
+            raise GraphFormatError(path, None, "empty METIS file")
+        head = _ints(path, lineno, header.split())
+        if not head:
+            raise GraphFormatError(path, lineno, f"malformed header line: {header!r}")
+        n = head[0]
+        if len(head) >= 3 and head[2] != 0:
+            raise GraphFormatError(path, lineno, "weighted METIS graphs are not supported")
         us: list[int] = []
         vs: list[int] = []
-        for u, line in enumerate(lines):
+        for u, (lineno, line) in enumerate(lines):
             if u >= n:
-                raise ValueError("more adjacency lines than vertices")
-            for tok in line.split():
+                raise GraphFormatError(path, lineno, "more adjacency lines than vertices")
+            for w in _ints(path, lineno, line.split()):
                 us.append(u)
-                vs.append(int(tok) - 1)
+                vs.append(w - 1)
     return CSRGraph.from_edges(us, vs, num_vertices=n)
 
 
-def _metis_lines(fh: IO[str]) -> Iterator[str]:
-    for raw in fh:
+def _metis_lines(fh: IO[str]) -> Iterator[tuple[int, str]]:
+    for lineno, raw in enumerate(fh, 1):
         line = raw.rstrip("\n")
         if line.startswith("%"):
             continue
-        yield line
+        yield lineno, line
 
 
 def write_metis(graph: CSRGraph, path: str | os.PathLike) -> None:
@@ -184,7 +211,7 @@ def read_edge_list(path: str | os.PathLike, *, num_vertices: int | None = None) 
     us: list[int] = []
     vs: list[int] = []
     with _open_text(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith(("#", "%")):
                 # Our writer records the vertex count in the header
@@ -200,9 +227,10 @@ def read_edge_list(path: str | os.PathLike, *, num_vertices: int | None = None) 
                 continue
             parts = line.split()
             if len(parts) < 2:
-                raise ValueError(f"malformed edge line: {line!r}")
-            us.append(int(parts[0]))
-            vs.append(int(parts[1]))
+                raise GraphFormatError(path, lineno, f"malformed edge line: {line!r}")
+            u, v = _ints(path, lineno, parts[:2])
+            us.append(u)
+            vs.append(v)
     return CSRGraph.from_edges(us, vs, num_vertices=num_vertices)
 
 

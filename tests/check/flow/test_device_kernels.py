@@ -205,8 +205,8 @@ class TestDeclaredDtypes:
 
     Every launch the end-to-end driver issues is intercepted and each
     array argument's numpy dtype compared against the kernel's declared
-    dtype table — the same table the type inference, the overflow
-    certificates, and the C emitter all key off. A silent drift here
+    dtype table — the same table the type inference and the overflow
+    certificates key off. A silent drift here
     would make every certificate vacuous, so it is pinned at runtime.
     """
 

@@ -50,24 +50,6 @@ class TestRegisteredKernels:
         assert forbidden.elem.name == "bool"
         assert forbidden.shape == "degree + 1"
 
-    def test_expr_types_align_with_the_shared_tree(self):
-        import ast
-
-        report = infer_kernel_types(DEVICE_KERNELS["jp_sweep"])
-        # every subscript *index* of the report's own tree must be typed
-        # by node identity (lower.py depends on this id-keyed alignment;
-        # kernel_ast() re-parses, so a fresh tree would not line up)
-        indices = [
-            node.slice
-            for node in ast.walk(report.tree)
-            if isinstance(node, ast.Subscript)
-        ]
-        assert indices
-        for index in indices:
-            assert id(index) in report.expr_types, ast.dump(index)
-        fresh = infer_kernel_types(DEVICE_KERNELS["jp_sweep"])
-        assert fresh.tree is not report.tree
-
 
 class TestRejections:
     def test_missing_param_dtypes_rejected(self):

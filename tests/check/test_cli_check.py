@@ -354,35 +354,6 @@ class TestCheckTypes:
             main(["check", "types", "-k", "nope"])
 
 
-class TestCheckLower:
-    def test_emit_ir_text(self, capsys):
-        rc = main(["check", "lower", "-k", "jp_sweep"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "kernel jp_sweep(" in out
-        assert "alloc bool[" in out  # the private forbidden array
-        assert "repro lower: 1 kernels, ok" in out
-
-    def test_emit_c_text(self, capsys):
-        rc = main(["check", "lower", "--emit", "c"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "static void maxmin_sweep(" in out
-        assert "void launch_ec_decide(" in out
-        assert "(int64_t)" in out  # an explicit widening cast survived
-
-    def test_json_envelope(self, capsys):
-        rc = main(["check", "lower", "--json"])
-        payload = json_out(capsys)
-        assert rc == 0
-        items = assert_envelope(payload, "lower", "kernel")
-        assert payload["ok"] is True and len(items) == 7
-        for item in items:
-            assert item["verdicts"]["memsafe"] == "ok"
-            assert item["verdicts"]["types"] == "ok"
-            assert item["verdicts"]["overflow"] in ("fits-int32", "needs-int64")
-
-
 class TestMalformedArguments:
     @pytest.mark.parametrize(
         "argv",
@@ -392,6 +363,7 @@ class TestMalformedArguments:
             ["check", "flow", "--mapping", "diagonal"],
             ["check", "validate", "--seed", "not-an-int"],
             ["check", "golden", "--no-such-flag"],
+            ["check", "lower"],  # no `lower` subcommand, not even a stub
         ],
     )
     def test_argparse_exits_with_usage_error(self, argv, capsys):

@@ -151,3 +151,25 @@ class TestEdgeListParsing:
         p.write_text("0 1\n")
         g = gio.read_edge_list(p, num_vertices=10)
         assert g.num_vertices == 10
+
+
+@pytest.mark.parametrize(
+    "name,text,reader,line,token",
+    [
+        ("bad.col", "c comment\np edge 2 1\ne 1 x\n", gio.read_dimacs_coloring, 3, "x"),
+        ("bad.col", "p edge n 1\n", gio.read_dimacs_coloring, 1, "n"),
+        ("bad.graph", "% comment\n2 1\n2 x\n1\n", gio.read_metis, 3, "x"),
+        ("bad.graph", "two 1\n", gio.read_metis, 1, "two"),
+        ("bad.el", "# comment\n0 1\n1 y\n", gio.read_edge_list, 3, "y"),
+    ],
+    ids=["dimacs-edge", "dimacs-problem", "metis-adjacency", "metis-header", "edge-list"],
+)
+def test_non_integer_field_names_its_line(tmp_path, name, text, reader, line, token):
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(gio.GraphFormatError) as exc:
+        reader(p)
+    assert isinstance(exc.value, ValueError)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"{p}:{line}: ")
+    assert repr(token) in str(exc.value)
