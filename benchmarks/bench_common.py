@@ -3,8 +3,10 @@
 Each ``bench_e*.py`` regenerates one reconstructed table/figure of the
 paper: it computes the rows/series, prints them, writes them to
 ``benchmarks/results/``, asserts the *shape* criterion from DESIGN.md,
-and appends an :class:`~repro.analysis.experiment.ExperimentRecord` to
-``benchmarks/results/records.jsonl`` (consumed by EXPERIMENTS.md).
+and records an :class:`~repro.analysis.experiment.ExperimentRecord` in
+the run store (``scripts/render_experiments.py`` turns the newest
+verdicts into ``benchmarks/results/experiments.json`` and the
+EXPERIMENTS.md table).
 
 Scale defaults to ``standard`` (the paper-like sizes); set
 ``REPRO_BENCH_SCALE=small`` for a quick pass. Runs are cached per
@@ -16,7 +18,7 @@ to let drivers that batch independent cells (``batch_rows``,
 ``bench_parallel_harness.py``) spread them over N worker processes —
 results are bit-identical for any N.
 
-Every run and verdict also lands in the sqlite run store
+Every run and verdict lands in the sqlite run store
 (``benchmarks/results/runs.sqlite`` — see :mod:`repro.store`), keyed
 by content so re-runs dedupe. Point ``REPRO_RUN_STORE`` at another
 file to redirect, or set it to ``0``/``off`` to disable.
@@ -27,7 +29,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.analysis.experiment import ExperimentRecord, save_records
+from repro.analysis.experiment import ExperimentRecord
 from repro.coloring.base import ColoringResult
 from repro.engine.context import RunContext
 from repro.gpusim.device import RADEON_HD_7950
@@ -135,12 +137,7 @@ def record(
     shape_holds: bool,
     **details,
 ) -> None:
-    """Record this experiment's reproduction verdict.
-
-    The verdict is upserted into the run store (the queryable source
-    of truth) and appended to ``records.jsonl`` (the deprecated export
-    shim — format unchanged for existing consumers).
-    """
+    """Upsert this experiment's reproduction verdict into the run store."""
     rec = ExperimentRecord(
         experiment_id=experiment_id,
         paper_artifact=paper_artifact,
@@ -151,4 +148,3 @@ def record(
     )
     if RECORDER is not None:
         RECORDER.record_experiment(rec)
-    save_records([rec], RESULTS_DIR / "records.jsonl")

@@ -1,30 +1,40 @@
 #!/usr/bin/env python
-"""Regenerate the EXPERIMENTS.md summary table from the run store.
+"""Regenerate the EXPERIMENTS.md summary table from the experiment verdicts.
 
 The table between the ``<!-- summary:begin -->`` / ``<!-- summary:end -->``
-markers is generated — the store's experiment verdicts are the source of
-truth (``repro.analysis.experiment.records_from_store``). Run after a
-benchmark session::
+markers is generated from ``benchmarks/results/experiments.json``, the
+committed verdict of every experiment. Run after a benchmark session::
 
     PYTHONPATH=src python scripts/render_experiments.py
 
-A store with no verdicts yet is backfilled from the legacy
-``records.jsonl`` first, so the script works on a fresh checkout.
+Write mode overlays the run store's newest verdict per experiment id
+(``repro.analysis.experiment.records_from_store``) on the committed
+file, then writes both the JSON file and the table: re-running one
+bench updates one entry, and a fresh checkout without a store still
+renders. ``--check`` reads only the JSON file and opens no store.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.analysis.experiment import records_from_store, render_markdown  # noqa: E402
-from repro.store import RunStore, ingest_jsonl  # noqa: E402
+from repro.analysis.experiment import (  # noqa: E402
+    ExperimentRecord,
+    records_from_store,
+    render_markdown,
+)
 
 BEGIN = "<!-- summary:begin -->"
 END = "<!-- summary:end -->"
+
+#: the committed verdicts, relative to the repository root.
+VERDICTS = Path("benchmarks/results/experiments.json")
 
 
 def splice(doc: str, table: str) -> str:
@@ -39,17 +49,28 @@ def splice(doc: str, table: str) -> str:
     return f"{head}{BEGIN}\n{table}\n{END}{tail}"
 
 
+def load_verdicts(path: Path) -> dict[str, ExperimentRecord]:
+    """The committed verdicts by experiment id (empty if ``path`` is absent)."""
+    if not path.exists():
+        return {}
+    return {
+        d["experiment_id"]: ExperimentRecord(**d)
+        for d in json.loads(path.read_text())
+    }
+
+
+def dump_verdicts(records: list[ExperimentRecord], path: Path) -> None:
+    """Write ``records`` as a JSON list sorted by experiment id."""
+    doc = [asdict(r) for r in sorted(records, key=lambda r: r.experiment_id)]
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--store",
         default="benchmarks/results/runs.sqlite",
-        help="run database holding the experiment verdicts",
-    )
-    parser.add_argument(
-        "--jsonl",
-        default="benchmarks/results/records.jsonl",
-        help="legacy records used to backfill an empty store",
+        help="run database whose newest verdicts update the JSON file",
     )
     parser.add_argument(
         "--output",
@@ -63,13 +84,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    with RunStore(args.store) as store:
-        if store.counts()["experiments"] == 0 and Path(args.jsonl).exists():
-            n = ingest_jsonl(store, args.jsonl)
-            print(f"backfilled {n} verdicts from {args.jsonl}")
-        records = records_from_store(store)
-    if not records:
-        raise SystemExit("error: no experiment verdicts in the store")
+    verdicts = load_verdicts(VERDICTS)
+    store_path = Path(args.store)
+    if not args.check and store_path.exists():
+        from repro.store import RunStore
+
+        with RunStore(store_path) as store:
+            for rec in records_from_store(store):
+                verdicts[rec.experiment_id] = rec
+    if not verdicts:
+        raise SystemExit(f"error: no experiment verdicts in {VERDICTS}")
+    records = list(verdicts.values())
     table = render_markdown(records)
 
     out = Path(args.output)
@@ -81,8 +106,9 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(f"{out} is up to date ({len(records)} experiments)")
         return 0
+    dump_verdicts(records, VERDICTS)
     out.write_text(updated)
-    print(f"rendered {len(records)} experiment rows -> {out}")
+    print(f"rendered {len(records)} experiment rows -> {VERDICTS}, {out}")
     return 0
 
 

@@ -1,6 +1,6 @@
 """Reporting: ASCII tables/series and experiment reproduction records."""
 
-from .experiment import ExperimentRecord, load_records, render_markdown, save_records
+from .experiment import ExperimentRecord, render_markdown
 from .gantt import render_busy_bars, render_gantt
 from .report import run_report
 from .tables import format_kv, format_series, format_table
@@ -13,9 +13,7 @@ __all__ = [
     "save_chrome_trace",
     "timeline_to_trace_events",
     "ExperimentRecord",
-    "load_records",
     "render_markdown",
-    "save_records",
     "format_kv",
     "format_series",
     "format_table",

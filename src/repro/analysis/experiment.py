@@ -5,23 +5,17 @@ reconstructed paper artifact (table/figure) to the measured result and a
 pass/fail verdict on the *shape* criterion (who wins, by what rough
 factor). ``EXPERIMENTS.md`` is assembled from these records.
 
-The source of truth for records is the sqlite run database
-(:mod:`repro.store`): benches upsert verdicts there, and
-:func:`records_from_store` reads them back as plain
-:class:`ExperimentRecord` views for rendering. The JSON-lines file
-(``benchmarks/results/records.jsonl``) remains as a **deprecated export
-shim** — :func:`save_records` / :func:`load_records` keep their exact
-format and append semantics for existing consumers, and
-``scripts/backfill_store.py`` imports historic lines into the store.
+Benches record verdicts only in the sqlite run database
+(:mod:`repro.store`); :func:`records_from_store` reads them back as
+plain :class:`ExperimentRecord` views. ``scripts/render_experiments.py``
+folds the newest ones into the committed
+``benchmarks/results/experiments.json`` and renders the table from it.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import warnings
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -30,8 +24,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ExperimentRecord",
     "render_markdown",
-    "save_records",
-    "load_records",
     "records_from_store",
 ]
 
@@ -77,8 +69,8 @@ def records_from_store(
 ) -> list[ExperimentRecord]:
     """The newest verdict per experiment id, as record views.
 
-    This is the query path ``EXPERIMENTS.md`` renders from
-    (``scripts/render_experiments.py``).
+    ``scripts/render_experiments.py`` overlays these on the committed
+    verdicts before it renders ``EXPERIMENTS.md``.
     """
     return [
         ExperimentRecord.from_store_row(row)
@@ -99,93 +91,3 @@ def render_markdown(records: list[ExperimentRecord]) -> str:
             f"| {r.measured} | {shape} |"
         )
     return "\n".join(lines)
-
-
-def _json_default(obj):
-    """Coerce numpy scalars (np.bool_, np.int64, np.float64) to JSON."""
-    if hasattr(obj, "item"):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def save_records(records: list[ExperimentRecord], path: str | Path) -> None:
-    """Append records to a JSON-lines file (deprecated export shim).
-
-    Safe under concurrent benchmark processes *and* crashes: the
-    combined content (existing lines + this batch) is written to a
-    temp file in the same directory and atomically renamed over the
-    target, all under an exclusive ``flock`` on a sidecar lock file —
-    a reader never observes a truncated trailing line, and parallel
-    appenders cannot interleave or lose batches.
-    """
-    if not records:
-        return
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    lock_path = p.with_name(p.name + ".lock")
-    with lock_path.open("a") as lock:
-        _flock_exclusive(lock)
-        try:
-            existing = p.read_bytes() if p.exists() else b""
-            tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
-            # Records serialize straight into the temp file, so a bad
-            # record (unserializable details) raises mid-write with the
-            # lock held — the finally guarantees the orphan temp file
-            # never survives, and the target is untouched either way.
-            try:
-                with tmp.open("wb") as fh:
-                    fh.write(existing)
-                    for r in records:
-                        line = json.dumps(asdict(r), default=_json_default)
-                        fh.write(line.encode() + b"\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, p)
-            finally:
-                tmp.unlink(missing_ok=True)
-        finally:
-            _flock_release(lock)
-
-
-def _flock_exclusive(fh) -> None:
-    """Take an exclusive advisory lock (no-op where flock is missing)."""
-    try:
-        import fcntl
-    except ImportError:  # pragma: no cover - non-POSIX platform
-        return
-    fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-
-
-def _flock_release(fh) -> None:
-    try:
-        import fcntl
-    except ImportError:  # pragma: no cover - non-POSIX platform
-        return
-    fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-
-
-def load_records(path: str | Path) -> list[ExperimentRecord]:
-    """Load records from a JSON-lines file (empty list if absent).
-
-    Tolerant of damage: a corrupt or truncated line (e.g. a crash
-    mid-append under the pre-atomic writer) is skipped with a
-    :class:`UserWarning` naming the line, never an exception — one bad
-    line should not take down every consumer of the history.
-    """
-    p = Path(path)
-    if not p.exists():
-        return []
-    records = []
-    with p.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(ExperimentRecord(**json.loads(line)))
-            except (json.JSONDecodeError, TypeError) as exc:
-                warnings.warn(
-                    f"{p}:{lineno}: skipping corrupt record line ({exc})",
-                    stacklevel=2,
-                )
-    return records

@@ -28,14 +28,6 @@ a determinism or correctness rationale that ruff/flake8 cannot express:
   appends whose statement sits at loop depth ≥ 1 — a straight-line
   append runs once and is bounded by construction. When a scope's CFG
   cannot be built the rule falls back to flagging (conservative).
-* ``RC005`` **store-owns-records** — no direct writes to
-  ``records.jsonl`` outside :mod:`repro.store` and the
-  ``analysis/experiment.py`` export shim. The sqlite run store is the
-  source of truth for experiment verdicts; a stray
-  ``open("records.jsonl", "a")`` bypasses the atomic locked writer and
-  can corrupt or fork the history. Flags write-mode ``open`` calls
-  (and ``Path.write_text`` / ``write_bytes``) whose arguments mention
-  ``records.jsonl``.
 * ``RC006`` **store-owns-sqlite** — no ``sqlite3.connect(...)``
   outside :mod:`repro.store`. Connections are confined to the thread
   (and, under the serve executor, the worker process) that opened
@@ -81,7 +73,6 @@ RULES: dict[str, str] = {
     "RC002": "wall-clock read inside the simulated-cycle domain (gpusim/coloring)",
     "RC003": "mutation of CSR arrays (indptr/indices) inside kernel code",
     "RC004": "trace-list append inside a loop outside the repro.obs sinks",
-    "RC005": "direct records.jsonl write outside repro.store / the export shim",
     "RC006": "sqlite3 connection opened outside repro.store",
     "RC008": "narrowing int astype / bare int32 index arithmetic in index code",
 }
@@ -116,10 +107,6 @@ _TIME_FUNCS = {
 
 #: path fragments (relative, POSIX) the sim-domain rules apply to.
 _SIM_DOMAIN = ("gpusim/", "coloring/")
-
-#: modules allowed to write ``records.jsonl`` directly: the store
-#: package and the deprecated jsonl export shim it supersedes.
-_RECORDS_WRITERS = ("repro/store/", "analysis/experiment.py")
 
 #: the only package allowed to open sqlite connections directly.
 _SQLITE_OWNERS = ("repro/store/",)
@@ -221,27 +208,6 @@ def _loop_depths(tree: ast.Module) -> dict[int, int]:
     return depths
 
 
-def _open_mode_writes(node: ast.Call, mode_index: int) -> bool:
-    """Does this ``open``-style call open for writing?
-
-    ``mode_index`` is the positional slot of the mode argument (1 for
-    builtin ``open``, 0 for ``Path.open``). A non-literal mode is
-    treated as writing (conservative); no mode at all defaults to
-    ``"r"``.
-    """
-    mode_node: ast.AST | None = None
-    if len(node.args) > mode_index:
-        mode_node = node.args[mode_index]
-    for kw in node.keywords:
-        if kw.arg == "mode":
-            mode_node = kw.value
-    if mode_node is None:
-        return False
-    if isinstance(mode_node, ast.Constant) and isinstance(mode_node.value, str):
-        return any(c in mode_node.value for c in "wax+")
-    return True
-
-
 class _Checker(ast.NodeVisitor):
     def __init__(
         self,
@@ -249,14 +215,12 @@ class _Checker(ast.NodeVisitor):
         in_sim_domain: bool,
         in_obs: bool,
         loop_depths: dict[int, int] | None = None,
-        in_records_writer: bool = False,
         in_sqlite_owner: bool = False,
         in_index_domain: bool = False,
     ) -> None:
         self.path = path
         self.in_sim_domain = in_sim_domain
         self.in_obs = in_obs
-        self.in_records_writer = in_records_writer
         self.in_sqlite_owner = in_sqlite_owner
         self.in_index_domain = in_index_domain
         self.loop_depths = loop_depths if loop_depths is not None else {}
@@ -378,40 +342,6 @@ class _Checker(ast.NodeVisitor):
                 "iteration; emit through a bounded repro.obs sink instead",
             )
 
-    # -- RC005 ----------------------------------------------------------
-
-    def _check_records_write(self, node: ast.Call) -> None:
-        if self.in_records_writer:
-            return
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "open":
-            is_write = _open_mode_writes(node, mode_index=1)
-        elif isinstance(func, ast.Attribute) and func.attr in (
-            "write_text",
-            "write_bytes",
-        ):
-            is_write = True
-        elif isinstance(func, ast.Attribute) and func.attr == "open":
-            is_write = _open_mode_writes(node, mode_index=0)
-        else:
-            return
-        if not is_write:
-            return
-        for sub in ast.walk(node):
-            if (
-                isinstance(sub, ast.Constant)
-                and isinstance(sub.value, str)
-                and "records.jsonl" in sub.value
-            ):
-                self._flag(
-                    "RC005",
-                    node,
-                    "direct write to records.jsonl — record through "
-                    "repro.store (or the analysis.experiment shim), which "
-                    "owns the locked atomic writer",
-                )
-                return
-
     # -- RC006 ----------------------------------------------------------
 
     def _check_sqlite_connect(self, node: ast.Call, chain: list[str]) -> None:
@@ -515,7 +445,6 @@ class _Checker(ast.NodeVisitor):
             self._check_setflags(node, chain)
             self._check_trace_append(node, chain)
             self._check_sqlite_connect(node, chain)
-        self._check_records_write(node)
         self._check_narrowing_astype(node)
         self.generic_visit(node)
 
@@ -533,17 +462,15 @@ class _Checker(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _domain_flags(path: str) -> tuple[bool, bool, bool, bool, bool]:
+def _domain_flags(path: str) -> tuple[bool, bool, bool, bool]:
     posix = Path(path).as_posix()
     in_sim = any(frag in posix for frag in _SIM_DOMAIN)
     in_obs = "obs/" in posix or posix.endswith("obs")
-    in_records_writer = any(frag in posix for frag in _RECORDS_WRITERS)
     in_sqlite_owner = any(frag in posix for frag in _SQLITE_OWNERS)
     in_index_domain = any(frag in posix for frag in _INDEX_DOMAIN)
     return (
         in_sim,
         in_obs,
-        in_records_writer,
         in_sqlite_owner,
         in_index_domain,
     )
@@ -566,7 +493,6 @@ def lint_source(source: str, path: str = "<string>") -> list[LintViolation]:
     (
         in_sim,
         in_obs,
-        in_records_writer,
         in_sqlite_owner,
         in_index_domain,
     ) = _domain_flags(path)
@@ -575,7 +501,6 @@ def lint_source(source: str, path: str = "<string>") -> list[LintViolation]:
         in_sim,
         in_obs,
         loop_depths=_loop_depths(tree),
-        in_records_writer=in_records_writer,
         in_sqlite_owner=in_sqlite_owner,
         in_index_domain=in_index_domain,
     )

@@ -21,7 +21,6 @@ Subcommands::
     repro-color pipeline run report-smoke --store ci.sqlite
     repro-color report --store ci.sqlite --fail-on-regression
     repro-color db info                        # run-store table counts
-    repro-color db ingest                      # backfill records.jsonl
     repro-color serve --store ci.sqlite        # coloring job server
     repro-color job submit '{"kind":"color","dataset":"rmat"}' --wait
 
@@ -83,7 +82,10 @@ def _resolve_graph(name: str, scale: str) -> tuple[CSRGraph, str]:
         return build(name, scale), name
     path = Path(name)
     if path.exists():
-        return load_graph(path), path.name
+        try:
+            return load_graph(path), path.name
+        except ValueError as exc:  # GraphFormatError names path:line
+            raise SystemExit(f"error: {exc}") from None
     raise SystemExit(
         f"error: {name!r} is neither a suite dataset ({', '.join(SUITE)}) "
         "nor an existing file"
@@ -407,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the full repro.check invariant suite on every cell",
     )
 
-    p_db = sub.add_parser("db", help="inspect or backfill the run database")
+    p_db = sub.add_parser("db", help="inspect the run database")
     db_sub = p_db.add_subparsers(dest="db_command", required=True)
     db_common = {
         "metavar": "PATH",
@@ -424,26 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     d_rows.add_argument("--scale", choices=SCALES, default=None)
     d_rows.add_argument("--limit", type=int, default=20)
     d_rows.add_argument("--json", action="store_true", help="emit JSON to stdout")
-    d_ing = db_sub.add_parser(
-        "ingest", help="import legacy records.jsonl verdicts into the store"
-    )
-    d_ing.add_argument("--store", **db_common)
-    d_ing.add_argument(
-        "--jsonl",
-        metavar="PATH",
-        default="benchmarks/results/records.jsonl",
-        help="records.jsonl file to import",
-    )
-    d_ing.add_argument(
-        "--git-rev",
-        default="imported",
-        help="git_rev tag for the imported verdicts",
-    )
-    d_ing.add_argument(
-        "--ingest-scale",
-        default="standard",
-        help="scale tag for the imported verdicts",
-    )
 
     p_check = sub.add_parser(
         "check",
@@ -956,10 +938,10 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_db(args: argparse.Namespace) -> int:
-    from .store import RunStore, ingest_jsonl, run_key
+    from .store import RunStore, run_key
 
     store_path = Path(args.store)
-    if args.db_command != "ingest" and not store_path.exists():
+    if not store_path.exists():
         raise SystemExit(f"error: no run database at {store_path}")
     with RunStore(store_path) as store:
         if args.db_command == "info":
@@ -970,39 +952,28 @@ def _cmd_db(args: argparse.Namespace) -> int:
             else:
                 print(format_kv(doc, title="run database"))
             return 0
-        if args.db_command == "rows":
-            rows = store.runs(
-                dataset=args.dataset,
-                algorithm=args.algorithm,
-                scale=args.scale,
-                limit=args.limit,
-            )
-            if args.json:
-                print(json.dumps(rows, indent=2))
-                return 0
-            display = [
-                {
-                    "key": run_key(r),
-                    "cycles": round(float(r["cycles"]), 1),
-                    "colors": r["colors"],
-                    "iters": r["iterations"],
-                    "rev": r["git_rev"],
-                    "runs": r["runs_count"],
-                    "source": r["source"],
-                }
-                for r in rows
-            ]
-            print(format_table(display, title=f"runs (newest {len(rows)})"))
-            return 0
-        # ingest
-        n = ingest_jsonl(
-            store, args.jsonl, git_rev=args.git_rev, scale=args.ingest_scale
+        rows = store.runs(
+            dataset=args.dataset,
+            algorithm=args.algorithm,
+            scale=args.scale,
+            limit=args.limit,
         )
-        counts = store.counts()
-        print(
-            f"ingested {n} records from {args.jsonl} -> {store_path} "
-            f"[{counts['experiments']} experiment verdicts]"
-        )
+    if args.json:
+        print(json.dumps(rows, indent=2))
+        return 0
+    display = [
+        {
+            "key": run_key(r),
+            "cycles": round(float(r["cycles"]), 1),
+            "colors": r["colors"],
+            "iters": r["iterations"],
+            "rev": r["git_rev"],
+            "runs": r["runs_count"],
+            "source": r["source"],
+        }
+        for r in rows
+    ]
+    print(format_table(display, title=f"runs (newest {len(rows)})"))
     return 0
 
 

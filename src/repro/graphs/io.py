@@ -15,7 +15,8 @@ All readers return :class:`~repro.graphs.csr.CSRGraph` (undirected,
 deduplicated, self-loops dropped); all writers round-trip with the
 matching reader. The DIMACS, METIS and edge-list readers raise
 :class:`GraphFormatError` naming ``path:line`` for input they cannot
-parse.
+parse; the Matrix Market reader raises it for a size line that would
+size an allocation the file cannot fill.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import IO
 
 import numpy as np
 
-from .csr import CSRGraph
+from .csr import _INT32_MAX, CSRGraph
 
 __all__ = [
     "GraphFormatError",
@@ -94,8 +95,41 @@ def load_graph(path: str | os.PathLike) -> CSRGraph:
 # ----------------------------------------------------------------------
 
 
+def _check_mm_size_line(path: str | os.PathLike) -> None:
+    """Refuse a size line that would size an allocation the file cannot fill.
+
+    ``rows cols nnz`` must be a square matrix with int32 vertex ids and
+    at most ``rows * cols`` entries; an uncompressed file must also be
+    large enough to hold ``nnz`` entry lines of at least ``"1 1\\n"``.
+    """
+    with _open_text(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if line and not line.startswith("%"):
+                break
+        else:
+            raise GraphFormatError(path, None, "missing 'rows cols nnz' size line")
+    parts = line.split()
+    if len(parts) != 3:
+        raise GraphFormatError(path, lineno, f"expected 'rows cols nnz', got {line!r}")
+    rows, cols, nnz = _ints(path, lineno, parts)
+    if rows != cols:
+        raise GraphFormatError(path, lineno, f"adjacency matrix must be square, got {rows}x{cols}")
+    if not 0 <= rows <= _INT32_MAX:
+        raise GraphFormatError(path, lineno, f"{rows} rows outside [0, {_INT32_MAX}] (int32 ids)")
+    if not 0 <= nnz <= rows * cols:
+        raise GraphFormatError(path, lineno, f"{nnz} entries do not fit a {rows}x{cols} matrix")
+    if Path(path).suffix != ".gz" and 4 * nnz > os.path.getsize(path):
+        raise GraphFormatError(path, lineno, f"{nnz} entries do not fit in the file")
+
+
 def read_matrix_market(path: str | os.PathLike) -> CSRGraph:
-    """Read a Matrix Market coordinate file as an undirected graph."""
+    """Read a Matrix Market coordinate file as an undirected graph.
+
+    The size line is checked (:func:`_check_mm_size_line`) before
+    :func:`scipy.io.mmread` allocates anything from it.
+    """
+    _check_mm_size_line(path)
     import scipy.io as sio
 
     mat = sio.mmread(os.fspath(path))

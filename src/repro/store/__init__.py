@@ -1,6 +1,6 @@
 """repro.store — the persistent experiment database.
 
-The queryable successor to ``benchmarks/results/records.jsonl``:
+The only writer of runs and experiment verdicts:
 
 * :mod:`repro.store.db` — :class:`RunStore`, a WAL-mode sqlite store
   with a versioned/migrated schema and content-keyed idempotent
@@ -23,7 +23,6 @@ from .db import (
     config_digest,
     current_git_rev,
     graph_digest,
-    ingest_jsonl,
     run_key,
     store_path_from_env,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "config_digest",
     "current_git_rev",
     "graph_digest",
-    "ingest_jsonl",
     "load_baseline",
     "load_pipeline",
     "pipeline_from_spec",

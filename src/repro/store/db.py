@@ -1,12 +1,11 @@
 """RunStore — the sqlite-backed experiment database.
 
-``benchmarks/results/records.jsonl`` was append-only: no dedup, no
-queries, no way to ask "did this PR regress E8?". :class:`RunStore`
-replaces it as the source of truth. Every run is keyed by its
-*content* — graph digest, effective-configuration digest, seed, git
-revision, scale — so re-running a cell upserts (refreshing the
-measurement and bumping a dedupe counter) instead of appending a
-duplicate line.
+:class:`RunStore` is the one place runs and experiment verdicts are
+recorded, so they can be deduped and queried ("did this PR regress
+E8?"). Every run is keyed by its *content* — graph digest,
+effective-configuration digest, seed, git revision, scale — so
+re-running a cell upserts (refreshing the measurement and bumping a
+dedupe counter) instead of adding a duplicate row.
 
 Five tables:
 
@@ -61,7 +60,6 @@ __all__ = [
     "config_digest",
     "current_git_rev",
     "graph_digest",
-    "ingest_jsonl",
     "run_key",
     "store_path_from_env",
 ]
@@ -72,7 +70,7 @@ ENV_VAR = "REPRO_RUN_STORE"
 #: values of :data:`ENV_VAR` that mean "recording off".
 _DISABLED = ("", "0", "off", "none")
 
-#: default database location, mirroring ``records.jsonl``'s home.
+#: default database location, next to the benchmark outputs.
 DEFAULT_STORE = "benchmarks/results/runs.sqlite"
 
 #: current schema version (``PRAGMA user_version`` of a fresh store).
@@ -704,34 +702,3 @@ class RunStore:
             )
             for table in ("runs", "experiments", "graphs", "tunings", "jobs")
         }
-
-
-def ingest_jsonl(
-    store: RunStore,
-    jsonl_path: str | Path,
-    *,
-    git_rev: str = "imported",
-    scale: str = "standard",
-) -> int:
-    """Import legacy ``records.jsonl`` verdicts into ``store``.
-
-    Returns the number of records upserted. Used by
-    ``scripts/backfill_store.py`` and ``repro db ingest``; tolerant of
-    corrupt lines (they are skipped with a warning by
-    :func:`~repro.analysis.experiment.load_records`).
-    """
-    from ..analysis.experiment import load_records
-
-    records = load_records(jsonl_path)
-    for rec in records:
-        store.upsert_experiment(
-            experiment_id=rec.experiment_id,
-            paper_artifact=rec.paper_artifact,
-            paper_claim=rec.paper_claim,
-            measured=rec.measured,
-            shape_holds=bool(rec.shape_holds),
-            details=dict(rec.details),
-            git_rev=git_rev,
-            scale=scale,
-        )
-    return len(records)

@@ -1,13 +1,9 @@
 """Unit tests for experiment reproduction records."""
 
-import pytest
-
 from repro.analysis.experiment import (
     ExperimentRecord,
-    load_records,
     records_from_store,
     render_markdown,
-    save_records,
 )
 
 
@@ -37,76 +33,6 @@ class TestMarkdown:
         assert lines[0].startswith("| Exp")
         assert "E1" in lines[2] and "E2" in lines[3]
         assert "❌" in lines[2] and "✅" in lines[3]
-
-
-class TestPersistence:
-    def test_save_and_load_roundtrip(self, tmp_path):
-        p = tmp_path / "records.jsonl"
-        save_records([rec("E1"), rec("E2")], p)
-        save_records([rec("E3")], p)  # append
-        loaded = load_records(p)
-        assert [r.experiment_id for r in loaded] == ["E1", "E2", "E3"]
-        assert loaded[0].details == {"k": 1}
-
-    def test_load_missing_file(self, tmp_path):
-        assert load_records(tmp_path / "absent.jsonl") == []
-
-    def test_save_creates_parent_dirs(self, tmp_path):
-        p = tmp_path / "deep" / "dir" / "r.jsonl"
-        save_records([rec()], p)
-        assert len(load_records(p)) == 1
-
-    def test_corrupt_trailing_line_warned_and_skipped(self, tmp_path):
-        p = tmp_path / "records.jsonl"
-        save_records([rec("E1"), rec("E2")], p)
-        with p.open("a") as fh:
-            fh.write('{"experiment_id": "E3", "paper_cl')  # torn write
-        with pytest.warns(UserWarning, match="skipping corrupt record line"):
-            loaded = load_records(p)
-        assert [r.experiment_id for r in loaded] == ["E1", "E2"]
-
-    def test_corrupt_middle_line_skipped_rest_loads(self, tmp_path):
-        p = tmp_path / "records.jsonl"
-        save_records([rec("E1")], p)
-        with p.open("a") as fh:
-            fh.write("not json at all\n")
-        save_records([rec("E2")], p)
-        with pytest.warns(UserWarning, match=":2:"):
-            loaded = load_records(p)
-        assert [r.experiment_id for r in loaded] == ["E1", "E2"]
-
-    def test_save_leaves_no_tmp_droppings(self, tmp_path):
-        p = tmp_path / "records.jsonl"
-        save_records([rec("E1")], p)
-        save_records([rec("E2")], p)
-        # only the lock sidecar may remain, never a .tmp partial
-        leftovers = [
-            f.name for f in tmp_path.iterdir() if f.name != "records.jsonl"
-        ]
-        assert leftovers in ([], ["records.jsonl.lock"])
-        assert len(load_records(p)) == 2
-
-    def test_failing_record_leaves_no_orphan_tmp_and_target_intact(
-        self, tmp_path
-    ):
-        # Regression: a record whose details cannot serialize used to be
-        # able to abandon a .tmp file (mid-write, flock still held) and
-        # wedge later appenders. Now the temp is unlinked on the way out
-        # and the target file is untouched.
-        p = tmp_path / "records.jsonl"
-        save_records([rec("E1")], p)
-        bad = rec("E2")
-        bad.details = {"handle": object()}  # not JSON serializable
-        with pytest.raises(TypeError, match="not JSON serializable"):
-            save_records([rec("E3"), bad], p)
-        leftovers = sorted(
-            f.name for f in tmp_path.iterdir() if f.name != "records.jsonl"
-        )
-        assert leftovers in ([], ["records.jsonl.lock"])  # no .tmp orphan
-        assert [r.experiment_id for r in load_records(p)] == ["E1"]
-        # and the writer still works afterwards (lock released, no wedge)
-        save_records([rec("E4")], p)
-        assert [r.experiment_id for r in load_records(p)] == ["E1", "E4"]
 
 
 class TestStoreView:
@@ -141,10 +67,8 @@ class TestStoreView:
         from repro.store import Recorder
 
         records = [rec("E1"), rec("E2", holds=False)]
-        save_records(records, tmp_path / "records.jsonl")
         with Recorder(str(tmp_path / "runs.sqlite"), git_rev="t") as recorder:
             for r in records:
                 recorder.record_experiment(r)
             from_store = records_from_store(recorder.store)
-        from_jsonl = load_records(tmp_path / "records.jsonl")
-        assert render_markdown(from_store) == render_markdown(from_jsonl)
+        assert render_markdown(from_store) == render_markdown(records)

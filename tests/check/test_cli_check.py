@@ -146,7 +146,6 @@ class TestCheckLint:
             "RC002",
             "RC003",
             "RC004",
-            "RC005",
             "RC006",
             "RC008",
         }
@@ -364,6 +363,7 @@ class TestMalformedArguments:
             ["check", "validate", "--seed", "not-an-int"],
             ["check", "golden", "--no-such-flag"],
             ["check", "lower"],  # no `lower` subcommand, not even a stub
+            ["db", "ingest"],  # verdicts are recorded only through the store
         ],
     )
     def test_argparse_exits_with_usage_error(self, argv, capsys):

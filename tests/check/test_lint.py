@@ -165,52 +165,6 @@ class TestRC004BoundedTraces:
         assert lint_source(src, SIM_PATH) == []
 
 
-class TestRC005RecordsWrites:
-    STORE_PATH = "src/repro/store/db.py"
-    SHIM_PATH = "src/repro/analysis/experiment.py"
-
-    def test_open_for_append_flagged(self):
-        src = 'fh = open("benchmarks/results/records.jsonl", "a")\n'
-        assert _rules(lint_source(src, HARNESS_PATH)) == {"RC005"}
-
-    def test_open_for_write_flagged(self):
-        src = 'fh = open("records.jsonl", mode="w")\n'
-        assert _rules(lint_source(src, HARNESS_PATH)) == {"RC005"}
-
-    def test_path_open_flagged(self):
-        src = (
-            "from pathlib import Path\n"
-            'with (Path("out") / "records.jsonl").open("a") as fh:\n'
-            "    fh.write(line)\n"
-        )
-        assert _rules(lint_source(src, HARNESS_PATH)) == {"RC005"}
-
-    def test_write_text_flagged(self):
-        src = 'Path("records.jsonl").write_text(payload)\n'
-        assert _rules(lint_source(src, HARNESS_PATH)) == {"RC005"}
-
-    def test_read_mode_clean(self):
-        src = 'fh = open("records.jsonl")\nfh2 = open("records.jsonl", "r")\n'
-        assert lint_source(src, HARNESS_PATH) == []
-
-    def test_other_files_clean(self):
-        src = 'fh = open("rows.json", "w")\n'
-        assert lint_source(src, HARNESS_PATH) == []
-
-    def test_store_and_shim_are_exempt(self):
-        src = 'fh = open("records.jsonl", "a")\n'
-        assert lint_source(src, self.STORE_PATH) == []
-        assert lint_source(src, self.SHIM_PATH) == []
-
-    def test_suppression_comment(self):
-        src = 'fh = open("records.jsonl", "a")  # check: allow(RC005)\n'
-        assert lint_source(src, HARNESS_PATH) == []
-
-    def test_non_literal_mode_is_conservatively_flagged(self):
-        src = 'fh = open("records.jsonl", mode)\n'
-        assert _rules(lint_source(src, HARNESS_PATH)) == {"RC005"}
-
-
 class TestRC006SqliteOwnership:
     STORE_PATH = "src/repro/store/db.py"
 
@@ -319,7 +273,6 @@ class TestMechanics:
             "RC002",
             "RC003",
             "RC004",
-            "RC005",
             "RC006",
             "RC008",
         }

@@ -1,6 +1,7 @@
 """Unit tests for graph file I/O."""
 
 import gzip
+import tracemalloc
 
 import pytest
 
@@ -173,3 +174,46 @@ def test_non_integer_field_names_its_line(tmp_path, name, text, reader, line, to
     assert exc.value.line == line
     assert str(exc.value).startswith(f"{p}:{line}: ")
     assert repr(token) in str(exc.value)
+
+
+MM_BANNER = "%%MatrixMarket matrix coordinate pattern symmetric\n% a comment\n"
+
+
+@pytest.mark.parametrize(
+    "size_line",
+    [
+        "10 10",
+        "10 10 1 1",
+        "10 x 1",
+        "10 12 1",
+        "99999999999 99999999999 1",
+        "2147483648 2147483648 1",
+        "10 10 -1",
+        "10 10 99999999999",
+        "1000 1000 5000",
+    ],
+    ids=[
+        "two-fields",
+        "four-fields",
+        "non-integer",
+        "not-square",
+        "rows-745GiB",
+        "rows-over-int32",
+        "negative-nnz",
+        "nnz-373GiB",
+        "nnz-over-file-size",
+    ],
+)
+def test_hostile_matrix_market_size_line_is_refused(tmp_path, size_line):
+    p = tmp_path / "hostile.mtx"
+    p.write_text(f"{MM_BANNER}{size_line}\n1 1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(gio.GraphFormatError) as exc:
+            gio.read_matrix_market(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.line == 3
+    assert str(exc.value).startswith(f"{p}:3: ")
+    assert peak < 1 << 20

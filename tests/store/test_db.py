@@ -4,7 +4,6 @@ import sqlite3
 
 import pytest
 
-from repro.analysis.experiment import ExperimentRecord, save_records
 from repro.graphs import generators as gen
 from repro.store import (
     MIGRATIONS,
@@ -13,7 +12,6 @@ from repro.store import (
     config_digest,
     current_git_rev,
     graph_digest,
-    ingest_jsonl,
     run_key,
     store_path_from_env,
 )
@@ -195,38 +193,6 @@ class TestEnv:
     def test_git_rev_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_GIT_REV", "cafef00d")
         assert current_git_rev() == "cafef00d"
-
-
-class TestIngest:
-    def test_ingest_jsonl_roundtrip(self, tmp_path):
-        jsonl = tmp_path / "records.jsonl"
-        save_records(
-            [
-                ExperimentRecord(
-                    experiment_id="E1",
-                    paper_artifact="Fig 1",
-                    paper_claim="c",
-                    measured="m",
-                    shape_holds=True,
-                    details={"x": 1},
-                ),
-                ExperimentRecord(
-                    experiment_id="E2",
-                    paper_artifact="Fig 2",
-                    paper_claim="c",
-                    measured="m",
-                    shape_holds=False,
-                ),
-            ],
-            jsonl,
-        )
-        with RunStore(tmp_path / "runs.sqlite") as store:
-            assert ingest_jsonl(store, jsonl, git_rev="imp") == 2
-            assert ingest_jsonl(store, jsonl, git_rev="imp") == 2  # idempotent
-            rows = store.experiments()
-            assert [r["experiment_id"] for r in rows] == ["E1", "E2"]
-            assert rows[0]["shape_holds"] and not rows[1]["shape_holds"]
-            assert store.counts()["experiments"] == 2
 
 
 class TestJobs:

@@ -106,6 +106,31 @@ class TestColorCommand:
         with pytest.raises(SystemExit, match="neither"):
             main(["color", "no-such-graph"])
 
+    @pytest.mark.parametrize(
+        "name,text,message",
+        [
+            ("bad.col", "p edge 2 1\ne 1 x\n", "expected an integer, got 'x'"),
+            (
+                "rows.mtx",
+                "%%MatrixMarket matrix coordinate pattern symmetric\n"
+                "99999999999 99999999999 1\n1 1\n",
+                "99999999999 rows outside [0, 2147483647] (int32 ids)",
+            ),
+            (
+                "nnz.mtx",
+                "%%MatrixMarket matrix coordinate pattern symmetric\n10 10 99999999999\n1 1\n",
+                "99999999999 entries do not fit a 10x10 matrix",
+            ),
+        ],
+        ids=["dimacs-token", "mtx-rows", "mtx-nnz"],
+    )
+    def test_malformed_file_is_a_one_line_error(self, tmp_path, name, text, message):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["color", str(p)])
+        assert exc.value.code == f"error: {p}:2: {message}"
+
 
 class TestCompareCommand:
     def test_all_algorithms_listed(self, capsys):
