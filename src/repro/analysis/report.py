@@ -8,15 +8,32 @@ builds by hand.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..coloring.base import ColoringResult
 from ..coloring.kernels import GPUExecutor
+from ..engine.context import RunContext
 from ..graphs.csr import CSRGraph
 from ..graphs.stats import summarize
 from ..metrics import idle_fraction, imbalance_factor
-from .gantt import render_busy_bars
 from .tables import format_kv, format_table
 
-__all__ = ["run_report"]
+__all__ = ["run_report", "render_busy_bars"]
+
+
+def render_busy_bars(loads: np.ndarray, *, width: int = 50, label: str = "w") -> str:
+    """Render per-worker loads as horizontal bars (normalized to max)."""
+    x = np.asarray(loads, dtype=np.float64).ravel()
+    if x.size == 0:
+        return "(no workers)"
+    if np.any(x < 0):
+        raise ValueError("loads must be non-negative")
+    peak = x.max()
+    lines = []
+    for i, v in enumerate(x):
+        n = int(round(width * v / peak)) if peak > 0 else 0
+        lines.append(f"{label}{i:<3d} {'█' * n}{' ' * (width - n)} {v:,.0f}")
+    return "\n".join(lines)
 
 
 def run_report(
@@ -61,16 +78,13 @@ def run_report(
         )
         blocks.append(format_kv(row, title="execution counters"))
 
-        # probe one full sweep for the per-CU load profile (the probe is
-        # excluded from the counters so the report doesn't perturb them)
-        saved = c
-        try:
-            from ..gpusim.counters import ExecutionCounters
-
-            executor.counters = ExecutionCounters()
-            probe = executor.time_iteration(graph.degrees, name="report-probe")
-        finally:
-            executor.counters = saved
+        # probe one full sweep for the per-CU load profile on a private
+        # context, so the report perturbs neither the run's counters nor
+        # its trace
+        probe_ctx = RunContext(device=executor.device, memory=executor.memory)
+        probe = probe_ctx.executor(executor.config).time_iteration(
+            graph.degrees, name="report-probe"
+        )
         if probe.cu_busy is not None:
             blocks.append(
                 format_kv(

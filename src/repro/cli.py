@@ -45,6 +45,7 @@ from .gpusim.device import named_device
 from .graphs.csr import CSRGraph
 from .graphs.io import load_graph
 from .graphs.stats import summarize
+from .harness.batch import sweep_config
 from .harness.runner import (
     CPU_ALGORITHMS,
     GPU_ALGORITHMS,
@@ -1130,11 +1131,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         recorder = _open_recorder(args, source="cli:sweep")
         rows = []
         for value in args.values:
-            kwargs = {args.parameter: value}
-            if args.parameter == "workgroup_size":
-                kwargs["chunk_size"] = max(256, value)
             executor = ctx.executor(
-                mapping=args.mapping, schedule=args.schedule, **kwargs
+                mapping=args.mapping,
+                schedule=args.schedule,
+                **sweep_config(args.parameter, value),
             )
             result = run_gpu_coloring(
                 graph,
@@ -1170,22 +1170,18 @@ def _sweep_rows_parallel(args: argparse.Namespace, jobs: int) -> list[dict]:
     """Sweep points as self-contained batch cells across worker processes."""
     from .harness.batch import BatchJob, run_batch
 
-    cells = []
-    for value in args.values:
-        config = {args.parameter: value}
-        if args.parameter == "workgroup_size":
-            config["chunk_size"] = max(256, value)
-        cells.append(
-            BatchJob(
-                dataset=args.graph,
-                algorithm=args.algorithm,
-                mapping=args.mapping,
-                schedule=args.schedule,
-                seed=args.seed,
-                config=config,
-                label=f"{args.graph}:{args.parameter}={value}",
-            )
+    cells = [
+        BatchJob(
+            dataset=args.graph,
+            algorithm=args.algorithm,
+            mapping=args.mapping,
+            schedule=args.schedule,
+            seed=args.seed,
+            config=sweep_config(args.parameter, value),
+            label=f"{args.graph}:{args.parameter}={value}",
         )
+        for value in args.values
+    ]
     recorder = _open_recorder(args, source="cli:sweep")
     try:
         batch_rows = run_batch(

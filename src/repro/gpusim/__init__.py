@@ -29,13 +29,11 @@ from .memory import ELEMENT_BYTES, MemoryModel
 from .occupancy import OccupancyLimits, OccupancyReport, occupancy
 from .scheduler import (
     dispatch,
-    dispatch_sequence,
     dispatch_tasks,
     dispatch_workgroups,
     greedy_schedule,
     workgroup_costs,
 )
-from .trace import Timeline
 from .wavefront import (
     DivergenceStats,
     divergence_stats,
@@ -71,12 +69,10 @@ __all__ = [
     "OccupancyReport",
     "occupancy",
     "dispatch",
-    "dispatch_sequence",
     "dispatch_tasks",
     "dispatch_workgroups",
     "greedy_schedule",
     "workgroup_costs",
-    "Timeline",
     "DivergenceStats",
     "divergence_stats",
     "num_wavefronts",

@@ -28,7 +28,6 @@ import numpy as np
 from .device import DeviceConfig
 from .kernel import KernelResult, KernelSpec
 from .memory import MemoryModel
-from .trace import Timeline
 from .wavefront import DivergenceStats, divergence_stats, wavefront_costs
 
 if TYPE_CHECKING:
@@ -40,7 +39,6 @@ __all__ = [
     "dispatch",
     "dispatch_tasks",
     "dispatch_workgroups",
-    "dispatch_sequence",
 ]
 
 
@@ -49,13 +47,7 @@ __all__ = [
 _RUN_MIN = 16
 
 
-def greedy_schedule(
-    task_cycles: np.ndarray,
-    num_pipes: int,
-    *,
-    timeline: Timeline | None = None,
-    tag: str = "",
-) -> tuple[np.ndarray, np.ndarray]:
+def greedy_schedule(task_cycles: np.ndarray, num_pipes: int) -> tuple[np.ndarray, np.ndarray]:
     """Greedy earliest-available list scheduling, in task order.
 
     Returns ``(assignment, pipe_busy)`` where ``assignment[i]`` is the
@@ -69,8 +61,7 @@ def greedy_schedule(
     counts and are frequently tied).  It is bit-identical to the
     reference per-task heap loop (:func:`_greedy_schedule_reference`),
     including ``(time, pipe)`` tie-breaking and float accumulation
-    order.  ``timeline`` recording is a post-pass over the computed
-    start/end arrays rather than a per-task callback.
+    order.
     """
     costs = np.asarray(task_cycles, dtype=np.float64).ravel()
     if num_pipes <= 0:
@@ -87,31 +78,19 @@ def greedy_schedule(
     assignment = np.empty(n, dtype=np.int64)
     busy = np.zeros(num_pipes, dtype=np.float64)
     if n:
-        starts = np.empty(n, dtype=np.float64)
-        _schedule_into(costs, num_pipes, assignment, starts)
+        _schedule_into(costs, num_pipes, assignment)
         np.add.at(busy, assignment, costs)
-        if timeline is not None:
-            timeline.record_batch(
-                assignment,
-                starts,
-                starts + costs,
-                tag if tag else [f"t{i}" for i in range(n)],
-            )
     return assignment, busy
 
 
 def _greedy_schedule_reference(
-    task_cycles: np.ndarray,
-    num_pipes: int,
-    *,
-    timeline: Timeline | None = None,
-    tag: str = "",
+    task_cycles: np.ndarray, num_pipes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reference per-task heap loop (the original implementation).
 
     Kept as the equivalence oracle for the vectorized scheduler: the
     property tests assert :func:`greedy_schedule` matches this exactly
-    (assignments, busy arrays, and recorded timelines).
+    (assignments and busy arrays).
     """
     costs = np.asarray(task_cycles, dtype=np.float64).ravel()
     if num_pipes <= 0:
@@ -125,53 +104,34 @@ def _greedy_schedule_reference(
     heapq.heapify(heap)
     for i, cost in enumerate(costs):
         start, pipe = heapq.heappop(heap)
-        end = start + cost
         assignment[i] = pipe
         busy[pipe] += cost
-        if timeline is not None:
-            timeline.record(pipe, start, end, tag or f"t{i}")
-        heapq.heappush(heap, (end, pipe))
+        heapq.heappush(heap, (start + cost, pipe))
     return assignment, busy
 
 
-def _schedule_scalar(
-    costs: np.ndarray,
-    num_pipes: int,
-    assignment: np.ndarray,
-    starts: np.ndarray,
-) -> None:
+def _schedule_scalar(costs: np.ndarray, num_pipes: int, assignment: np.ndarray) -> None:
     """Optimized scalar fallback: one heap loop over plain Python floats."""
     clist = costs.tolist()
-    n = len(clist)
     heap: list[tuple[float, int]] = [(0.0, p) for p in range(num_pipes)]
     pop, push = heapq.heappop, heapq.heappush
-    out_p = [0] * n
-    out_s = [0.0] * n
-    for i in range(n):
+    out_p = [0] * len(clist)
+    for i, c in enumerate(clist):
         t, p = pop(heap)
         out_p[i] = p
-        out_s[i] = t
-        push(heap, (t + clist[i], p))
+        push(heap, (t + c, p))
     assignment[:] = out_p
-    starts[:] = out_s
 
 
-def _schedule_into(
-    costs: np.ndarray,
-    num_pipes: int,
-    assignment: np.ndarray,
-    starts: np.ndarray,
-) -> None:
-    """Fill ``assignment``/``starts`` exactly as the reference heap would.
+def _schedule_into(costs: np.ndarray, num_pipes: int, assignment: np.ndarray) -> None:
+    """Fill ``assignment`` exactly as the reference heap would.
 
     Strategy, in order of preference:
 
-    - single pipe → prefix-sum of costs;
+    - single pipe → every task on pipe 0;
     - no more tasks than pipes (all costs positive) → task ``i`` on pipe
-      ``i`` at time 0;
-    - all costs equal and positive → round-robin with one shared
-      start-time ladder (sequential ``np.add.accumulate`` reproduces the
-      heap's float accumulation bit-for-bit);
+      ``i``;
+    - all costs equal and positive → round-robin;
     - otherwise decompose into equal-cost runs: long runs merge the
       pipes' arithmetic start-time progressions with a stable argsort
       (ties resolve to the lowest pipe, matching the heap's
@@ -183,9 +143,6 @@ def _schedule_into(
     P = num_pipes
     if P == 1:
         assignment[:] = 0
-        starts[0] = 0.0
-        if n > 1:
-            np.add.accumulate(costs[:-1], out=starts[1:])
         return
     if n <= P:
         # With positive costs the first n pops are the n distinct idle
@@ -193,25 +150,18 @@ def _schedule_into(
         # rank, so they fall through to the general path.
         if costs.min() > 0.0:
             assignment[:] = np.arange(n)
-            starts[:] = 0.0
             return
     else:
         c0 = costs[0]
         if c0 > 0.0 and not np.any(costs != c0):
-            idx = np.arange(n, dtype=np.int64)
-            assignment[:] = idx % P
-            rounds = -(-n // P)
-            ladder = np.full(rounds, c0, dtype=np.float64)
-            ladder[0] = 0.0
-            np.add.accumulate(ladder, out=ladder)
-            starts[:] = ladder[idx // P]
+            assignment[:] = np.arange(n, dtype=np.int64) % P
             return
     bounds = np.flatnonzero(np.diff(costs) != 0) + 1
     num_runs = bounds.size + 1
     if num_runs * _RUN_MIN > n:
         # Mean run length below the vectorization threshold: the run
         # machinery would mostly hit its scalar branch anyway.
-        _schedule_scalar(costs, P, assignment, starts)
+        _schedule_scalar(costs, P, assignment)
         return
     run_starts = np.concatenate(([0], bounds)).tolist()
     run_ends = np.concatenate((bounds, [n])).tolist()
@@ -236,16 +186,11 @@ def _schedule_into(
             if clist is None:
                 clist = costs.tolist()
             out_p = [0] * (seg_end - rs)
-            out_s = [0.0] * (seg_end - rs)
-            k = 0
-            for idx in range(rs, seg_end):
+            for k, cost in enumerate(clist[rs:seg_end]):
                 t, p = pop(heap)
                 out_p[k] = p
-                out_s[k] = t
-                k += 1
-                push(heap, (t + clist[idx], p))
+                push(heap, (t + cost, p))
             assignment[rs:seg_end] = out_p
-            starts[rs:seg_end] = out_s
             i = j
             continue
         if heap is not None:
@@ -257,9 +202,7 @@ def _schedule_into(
         if c == 0.0:
             # Zero-cost tasks re-insert (t, p) unchanged, so the heap
             # pops the same lexically-minimal pipe for the whole run.
-            p0 = int(np.argmin(avail))
-            assignment[rs:re] = p0
-            starts[rs:re] = avail[p0]
+            assignment[rs:re] = int(np.argmin(avail))
             i += 1
             continue
         amax = float(avail.max())
@@ -297,7 +240,6 @@ def _schedule_into(
             # counts.max() <= R < cap, so the loop terminates at cap.
             kmax = min(kmax * 2, cap)
         assignment[rs:re] = sel_p
-        starts[rs:re] = cand[order]
         avail = mat[np.arange(P), counts]
         i += 1
 
@@ -336,7 +278,6 @@ def dispatch(
     device: DeviceConfig,
     memory: MemoryModel | None = None,
     *,
-    timeline: Timeline | None = None,
     tracer: "Tracer | None" = None,
 ) -> KernelResult:
     """Simulate one thread-mapped kernel launch on ``device``.
@@ -360,7 +301,6 @@ def dispatch(
         memory,
         traffic_elements=spec.traffic_elements,
         divergence=divergence_stats(spec.item_cycles, device.wavefront_size),
-        timeline=timeline,
         tracer=tracer,
     )
 
@@ -373,7 +313,6 @@ def dispatch_tasks(
     *,
     tasks_per_group: int | None = None,
     traffic_elements: float = 0.0,
-    timeline: Timeline | None = None,
     tracer: "Tracer | None" = None,
 ) -> KernelResult:
     """Dispatch pre-aggregated *wavefront tasks* (cooperative kernels).
@@ -393,7 +332,6 @@ def dispatch_tasks(
         device,
         memory,
         traffic_elements=traffic_elements,
-        timeline=timeline,
         tracer=tracer,
     )
 
@@ -406,7 +344,6 @@ def dispatch_workgroups(
     *,
     traffic_elements: float = 0.0,
     divergence: DivergenceStats | None = None,
-    timeline: Timeline | None = None,
     tracer: "Tracer | None" = None,
 ) -> KernelResult:
     """Dispatch one launch's workgroups, given their costs, onto the CUs.
@@ -417,7 +354,7 @@ def dispatch_workgroups(
     launch overhead.
     """
     memory = memory or MemoryModel(device)
-    _, busy = greedy_schedule(wg_cycles, device.num_cus, timeline=timeline, tag=name)
+    _, busy = greedy_schedule(wg_cycles, device.num_cus)
     compute = float(busy.max()) if busy.size else 0.0
     bandwidth = (
         memory.bandwidth_floor_cycles(traffic_elements) if traffic_elements else 0.0
@@ -450,17 +387,3 @@ def dispatch_workgroups(
         divergence=divergence,
     )
 
-
-def dispatch_sequence(
-    specs: list[KernelSpec],
-    device: DeviceConfig,
-    memory: MemoryModel | None = None,
-) -> tuple[float, list[KernelResult]]:
-    """Run dependent kernels back-to-back (one iteration's launches).
-
-    Returns ``(total_cycles, results)``; the kernels serialize, each
-    paying its own launch overhead — exactly the per-iteration cost
-    structure of the iterative coloring algorithms.
-    """
-    results = [dispatch(s, device, memory) for s in specs]
-    return sum(r.total_cycles for r in results), results

@@ -24,7 +24,14 @@ from .suite import SUITE, build
 if TYPE_CHECKING:
     from ..store.recorder import Recorder
 
-__all__ = ["BatchJob", "run_batch", "run_batch_cell", "save_rows_json", "save_rows_csv"]
+__all__ = [
+    "BatchJob",
+    "run_batch",
+    "run_batch_cell",
+    "save_rows_json",
+    "save_rows_csv",
+    "sweep_config",
+]
 
 
 @dataclass(frozen=True)
@@ -44,6 +51,19 @@ class BatchJob:
         return self.label or (
             f"{self.dataset}/{self.algorithm}:{self.mapping}+{self.schedule}"
         )
+
+
+def sweep_config(parameter: str, value: int) -> dict[str, int]:
+    """The execution-config fields of one point of a one-parameter sweep.
+
+    A ``workgroup_size`` point also sets ``chunk_size = max(256, value)``,
+    so ``chunk_size`` stays the multiple of ``workgroup_size`` that
+    :class:`~repro.coloring.kernels.ExecutionConfig` requires.
+    """
+    config = {parameter: value}
+    if parameter == "workgroup_size":
+        config["chunk_size"] = max(256, value)
+    return config
 
 
 def run_batch_cell(

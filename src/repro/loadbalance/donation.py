@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..gpusim.events import EventSimulator
-from ..gpusim.trace import Timeline
 from .workstealing import StealingResult, as_chunk_costs, check_overheads
 
 if TYPE_CHECKING:
@@ -62,7 +61,6 @@ def simulate_work_donation(
     owner: np.ndarray,
     config: DonationConfig,
     *,
-    record_timeline: bool = False,
     tracer: "Tracer | None" = None,
 ) -> StealingResult:
     """Event-driven donation run over pre-costed chunks.
@@ -87,7 +85,6 @@ def simulate_work_donation(
         raise ValueError("owner out of range")
 
     sim = EventSimulator()
-    timeline = Timeline(w) if record_timeline else None
     deques: list[deque[int]] = [deque() for _ in range(w)]
     for idx in np.argsort(who, kind="stable"):
         deques[who[idx]].append(int(idx))
@@ -109,8 +106,6 @@ def simulate_work_donation(
         executed[me] += 1
         failed[me] = 0
         makespan = max(makespan, end)
-        if timeline is not None:
-            timeline.record(me, start, end, f"chunk{chunk}")
         sim.schedule_at(end, lambda me=me: step(me))
 
     def step(me: int) -> None:
@@ -125,8 +120,6 @@ def simulate_work_donation(
                 stats["migrated"] += give
                 overhead[me] += config.donate_cycles
                 now += config.donate_cycles
-                if timeline is not None:
-                    timeline.record(me, sim.now, now, f"donate{give}")
                 if tracer is not None:
                     tracer.sim_instant(
                         "donate", cat="steal", at=now, track=1 + me,
@@ -167,5 +160,4 @@ def simulate_work_donation(
         steal_attempts=stats["attempts"],
         steals_succeeded=stats["hits"],
         chunks_migrated=stats["migrated"],
-        timeline=timeline,
     )

@@ -14,7 +14,6 @@ import heapq
 
 import numpy as np
 
-from ..gpusim.trace import Timeline
 from .workstealing import StealingResult, as_chunk_costs
 
 __all__ = ["simulate_dynamic_fetch"]
@@ -26,7 +25,6 @@ def simulate_dynamic_fetch(
     *,
     atomic_cycles: float = 64.0,
     contention_factor: float = 0.5,
-    record_timeline: bool = False,
 ) -> StealingResult:
     """Greedy chunk fetch from one global counter.
 
@@ -43,7 +41,6 @@ def simulate_dynamic_fetch(
         raise ValueError("overheads must be non-negative")
 
     fetch_cost = atomic_cycles + contention_factor * num_workers
-    timeline = Timeline(num_workers) if record_timeline else None
 
     busy = np.zeros(num_workers, dtype=np.float64)
     overhead = np.zeros(num_workers, dtype=np.float64)
@@ -51,16 +48,13 @@ def simulate_dynamic_fetch(
     heap: list[tuple[float, int]] = [(0.0, p) for p in range(num_workers)]
     heapq.heapify(heap)
     makespan = 0.0
-    for i, cost in enumerate(costs):
+    for cost in costs:
         free_at, worker = heapq.heappop(heap)
-        start = free_at + fetch_cost
-        end = start + cost
+        end = free_at + fetch_cost + cost
         overhead[worker] += fetch_cost
         busy[worker] += cost
         executed[worker] += 1
         makespan = max(makespan, end)
-        if timeline is not None:
-            timeline.record(worker, start, end, f"chunk{i}")
         heapq.heappush(heap, (end, worker))
 
     return StealingResult(
@@ -71,5 +65,4 @@ def simulate_dynamic_fetch(
         steal_attempts=0,
         steals_succeeded=0,
         chunks_migrated=0,
-        timeline=timeline,
     )

@@ -27,13 +27,11 @@ import bisect
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from ..gpusim.trace import Timeline
 
 if TYPE_CHECKING:
     from ..obs.tracer import Tracer
@@ -99,7 +97,6 @@ class StealingResult:
     steal_attempts: int
     steals_succeeded: int
     chunks_migrated: int
-    timeline: Timeline | None = field(default=None, repr=False)
 
     @property
     def load_imbalance(self) -> float:
@@ -179,11 +176,11 @@ def _own_timelines(
 ) -> tuple[np.ndarray, ...]:
     """Each worker's run through its own deque, popped bottom-first.
 
-    Worker ``k``'s ``j``-th pop takes chunk ``order[ends[k] - 1 - j]``
-    (``ends = cumsum(counts)``) of cost ``mine[k, j]``. Row ``k`` of the
-    steps accumulates ``[0, pop, mine[k, 0], pop, ...]``: column ``2j`` is
-    the time of that pop (or, past the last one, of finding the deque
-    empty), column ``2j + 1`` the chunk's start. Row ``k`` of ``spent``
+    Worker ``k`` pops the chunks it owns in reverse chunk order, and its
+    ``j``-th pop costs ``mine[k, j]``. Row ``k`` of the steps accumulates
+    ``[0, pop, mine[k, 0], pop, ...]``: column ``2j`` is the time of that
+    pop (or, past the last one, of finding the deque empty), column
+    ``2j + 1`` the chunk's start. Row ``k`` of ``spent``
     accumulates ``[0, mine[k, 0], ...]``, its last row ``[0, pop, pop,
     ...]``. ``np.add.accumulate`` adds in sequence, so every entry is
     bit-identical to an event loop's running sum. ``who=None`` stands for
@@ -197,7 +194,7 @@ def _own_timelines(
         flat = np.zeros(w * per)
         flat[: n - r] = costs[: n - r]
         flat[(q + 1) * per - r : (q + 1) * per] = costs[n - r :]  # reversed: popped first
-        mine, order = flat.reshape(w, per)[:, ::-1], np.arange(n)
+        mine = flat.reshape(w, per)[:, ::-1]
     else:
         order, counts = np.argsort(who, kind="stable"), np.bincount(who, minlength=w)
         mine = np.zeros((w, int(counts.max())))
@@ -208,7 +205,7 @@ def _own_timelines(
     spent = np.zeros((w + 1, m + 1))
     spent[:w, 1:], spent[w, 1:] = mine, pop
     np.add.accumulate(steps, axis=1, out=steps)
-    return steps, np.add.accumulate(spent, axis=1), mine, order, counts
+    return steps, np.add.accumulate(spent, axis=1), mine, counts
 
 
 @functools.lru_cache(maxsize=64)
@@ -226,9 +223,7 @@ def _victim_draws(seed: int, w: int) -> Iterator[int]:
         yield from rng.integers(0, w - 1, size=64).tolist()
 
 
-def _one_chunk_each(
-    costs: np.ndarray, who: np.ndarray, w: int, pop: float, timeline: Timeline | None
-) -> StealingResult:
+def _one_chunk_each(costs: np.ndarray, who: np.ndarray, w: int, pop: float) -> StealingResult:
     """The run when workers ``0..n-1`` own one chunk each and the rest none.
 
     Root events fire at 0.0 in worker order, so workers ``0..n-1`` pop
@@ -243,13 +238,8 @@ def _one_chunk_each(
     busy[who], overhead[:n], executed[:n] = 0.0 + costs, 0.0 + pop, 1
     ends = (0.0 + pop) + costs
     makespan = ends.max() if n else 0.0
-    if timeline is not None and n:
-        chunk_of = np.empty(n, dtype=np.int64)
-        chunk_of[who] = np.arange(n)
-        tags = [f"chunk{c}" for c in chunk_of.tolist()]
-        timeline.record_batch(np.arange(n), np.full(n, 0.0 + pop), ends[chunk_of], tags)
     makespan = np.float64(makespan) if makespan > 0 else 0.0
-    return StealingResult(makespan, busy, overhead, executed, 0, 0, 0, timeline)
+    return StealingResult(makespan, busy, overhead, executed, 0, 0, 0)
 
 
 def simulate_work_stealing(
@@ -257,7 +247,6 @@ def simulate_work_stealing(
     owner: np.ndarray | None,
     config: StealingConfig,
     *,
-    record_timeline: bool = False,
     tracer: "Tracer | None" = None,
 ) -> StealingResult:
     """Work-stealing run over pre-costed chunks, exact to the event order.
@@ -285,28 +274,27 @@ def simulate_work_stealing(
     costs = as_chunk_costs(chunk_cycles)
     w, n, inf = config.num_workers, costs.size, math.inf
     pop, steal = float(config.pop_cycles), float(config.steal_cycles)
-    timeline = Timeline(w) if record_timeline else None
     if owner is None:
         who = None
         if n <= w:  # slabs of one chunk
-            return _one_chunk_each(costs, np.arange(n), w, pop, timeline)
+            return _one_chunk_each(costs, np.arange(n), w, pop)
     else:
         who = np.asarray(owner, dtype=np.int64).ravel()
         if costs.shape != who.shape:
             raise ValueError("chunk_cycles and owner must align")
         if n <= w and sorted(who.tolist()) == list(range(n)):
-            return _one_chunk_each(costs, who, w, pop, timeline)
+            return _one_chunk_each(costs, who, w, pop)
         if n and (who.min() < 0 or who.max() >= w):
             raise ValueError("owner out of range")
     max_failed, richest = config.max_failed_attempts, config.steal_policy == "richest"
-    steps, spent, mine, chunk_of, counts = _own_timelines(costs, who, w, pop)
-    rows, ends = np.arange(w), np.cumsum(counts).tolist()
+    steps, spent, mine, counts = _own_timelines(costs, who, w, pop)
+    rows = np.arange(w)
 
     # Worker k's events from index first[k] on happen at cur[k], its
     # earlier ones at past[k]. It pops its deque at the first planned[k]
     # of them, the last one at last[k], and finds it empty at the next,
     # nxt[k]. A thief's timeline is line[k] = (steps, busy and pop-cycle
-    # rows, the chunks it took, their costs); ran[k] counts the chunks it ran
+    # rows, the costs of the chunks it took); ran[k] counts the chunks it ran
     # off its own deque, once it ran dry. done[k] = (index, rank in the
     # visiting order) of its last visited event; roots rank first.
     times = steps[:, ::2]
@@ -368,14 +356,11 @@ def simulate_work_stealing(
     def close(k: int) -> None:
         """Book the chunks thief ``k`` ran on its finished timeline."""
         nonlocal makespan, events
-        (row, busy_row, pop_row, chunks, _), e = line[k], 1 + planned[k]
+        (row, busy_row, pop_row, _), e = line[k], 1 + planned[k]
         busy[k], over[k], line[k] = busy_row[e], pop_row[e], None
         events += e - 1  # its pops; the steal that began it was visited
         executed[k] += e
         makespan = max(makespan, row[2 * e])
-        if timeline is not None:
-            tags = [f"chunk{c}" for c in chunks[:e]]
-            timeline.record_batch(np.full(e, k), row[1 : 2 * e : 2], row[2 : 2 * e + 1 : 2], tags)
 
     due: list[int] = []  # the workers whose next event is at t, in firing order
     while due or (t := min(nxt)) < inf:
@@ -432,10 +417,9 @@ def simulate_work_stealing(
         # Take the top of the victim's deque: the far end of its timeline.
         take, p = max(1, math.ceil(size * config.steal_fraction)), planned[victim]
         if line[victim] is None:
-            stolen = chunk_of[ends[victim] - p : ends[victim] - p + take].tolist()
             spend = mine[victim, p - take : p][::-1].tolist()
         else:  # after the chunk it held
-            stolen, spend = (x[p - take + 1 : p + 1][::-1] for x in line[victim][3:])
+            spend = line[victim][3][p - take + 1 : p + 1][::-1]
         planned[victim] = p = p - take
         nxt[victim] = float(cur[victim][p])
         last[victim] = float(cur[victim][p - 1]) if p else -inf
@@ -444,8 +428,6 @@ def simulate_work_stealing(
         if nxt[victim] == t:  # its pending event is now its last
             bisect.insort(due, victim, key=order)
         hits, migrated, failed[a] = hits + 1, migrated + take, 0
-        if timeline is not None:
-            timeline.record(a, t, when, f"steal<{victim}")
         if tracer is not None:
             shown = {"thief": a, "victim": victim, "chunks": take}
             tracer.sim_instant("steal", cat="steal", at=when, track=1 + a, **shown)
@@ -458,14 +440,12 @@ def simulate_work_stealing(
             busy[a], over[a], executed[a] = busy[a] + spend[0], over[a] + pop, executed[a] + 1
             cur[a], nxt[a] = [when + pop + spend[0]], when + pop + spend[0]
             makespan = max(makespan, nxt[a])
-            if timeline is not None:
-                timeline.record(a, when + pop, nxt[a], f"chunk{stolen[0]}")
         else:
             row = [pop] * (2 * take + 1)
             row[0], row[2::2] = when, spend
             row = list(accumulate(row))
             paid = list(accumulate([over[a]] + [pop] * take))
-            line[a] = (row, list(accumulate([busy[a], *spend])), paid, stolen, spend)
+            line[a] = (row, list(accumulate([busy[a], *spend])), paid, spend)
             cur[a], nxt[a], last[a] = row[2::2], row[-1], row[-3]
         if nxt[a] == t:
             bisect.insort(due, a, key=order)
@@ -478,13 +458,9 @@ def simulate_work_stealing(
     e = np.where(fresh, planned, ran)
     if e.any():
         makespan = max(makespan, steps[rows, 2 * e].max())
-    if timeline is not None:
-        k, j = np.nonzero(np.arange(spent.shape[1] - 1) < e[:, None])
-        tags = [f"chunk{c}" for c in chunk_of[np.asarray(ends)[k] - 1 - j].tolist()]
-        timeline.record_batch(k, steps[k, 2 * j + 1], steps[k, 2 * j + 2], tags)
     # every positive makespan of the one-event-at-a-time loop was an
     # np.float64 (Python float + array element)
     makespan = np.float64(makespan) if makespan > 0 else 0.0
     busy_of, over_of = np.where(fresh, spent[rows, e], busy), np.where(fresh, spent[w, e], over)
     ran_of = e + np.array(executed, dtype=np.int64)
-    return StealingResult(makespan, busy_of, over_of, ran_of, attempts, hits, migrated, timeline)
+    return StealingResult(makespan, busy_of, over_of, ran_of, attempts, hits, migrated)

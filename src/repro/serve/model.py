@@ -36,7 +36,7 @@ from typing import Any
 
 from ..coloring.kernels import MAPPINGS, SCHEDULES
 from ..gpusim.device import named_device
-from ..harness.batch import BatchJob
+from ..harness.batch import BatchJob, sweep_config
 from ..harness.runner import GPU_ALGORITHMS
 from ..harness.suite import SCALES, SUITE
 from ..store.db import config_digest
@@ -241,20 +241,16 @@ def expand_spec(spec: dict[str, Any]) -> JobPlan:
             )
         ]
     elif kind == "sweep":
-        cells = []
-        for value in spec["values"]:
-            config = {spec["parameter"]: value}
-            if spec["parameter"] == "workgroup_size":
-                config["chunk_size"] = max(256, value)
-            cells.append(
-                BatchJob(
-                    dataset=spec["dataset"],
-                    algorithm=spec["algorithm"],
-                    config=config,
-                    label=f"{spec['dataset']}:{spec['parameter']}={value}",
-                    **common,
-                )
+        cells = [
+            BatchJob(
+                dataset=spec["dataset"],
+                algorithm=spec["algorithm"],
+                config=sweep_config(spec["parameter"], value),
+                label=f"{spec['dataset']}:{spec['parameter']}={value}",
+                **common,
             )
+            for value in spec["values"]
+        ]
     else:  # batch
         cells = [
             BatchJob(

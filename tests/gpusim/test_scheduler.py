@@ -8,12 +8,10 @@ from repro.gpusim.kernel import KernelSpec
 from repro.gpusim.memory import MemoryModel
 from repro.gpusim.scheduler import (
     dispatch,
-    dispatch_sequence,
     dispatch_tasks,
     greedy_schedule,
     workgroup_costs,
 )
-from repro.gpusim.trace import Timeline
 
 
 class TestGreedySchedule:
@@ -37,13 +35,6 @@ class TestGreedySchedule:
         assignment, busy = greedy_schedule(np.array([]), 3)
         assert assignment.size == 0
         assert busy.tolist() == [0.0, 0.0, 0.0]
-
-    def test_records_timeline(self):
-        tl = Timeline(2)
-        greedy_schedule(np.array([2.0, 2.0, 2.0]), 2, timeline=tl, tag="k")
-        assert len(tl) == 3
-        assert tl.makespan == 4.0
-        assert tl.tags == ["k"] * 3
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -179,35 +170,6 @@ class TestDispatchTasks:
         )
         # one group of 2 tasks on 1 pipe → serial 6
         assert res.compute_cycles == pytest.approx(6.0)
-
-
-class TestDispatchSequence:
-    def test_serializes_and_sums_launches(self):
-        specs = [
-            KernelSpec("a", np.full(8, 1.0), workgroup_size=4),
-            KernelSpec("b", np.full(8, 2.0), workgroup_size=4),
-        ]
-        total, results = dispatch_sequence(specs, SMALL_TEST_DEVICE)
-        assert len(results) == 2
-        assert total == pytest.approx(sum(r.total_cycles for r in results))
-        assert total >= 2 * SMALL_TEST_DEVICE.launch_cycles
-
-
-class TestDispatchTimeline:
-    def test_dispatch_records_cu_intervals(self):
-        tl = Timeline(SMALL_TEST_DEVICE.num_cus)
-        spec = KernelSpec("k", np.full(16, 2.0), workgroup_size=4)
-        res = dispatch(spec, SMALL_TEST_DEVICE, timeline=tl)
-        # 4 workgroups over 2 CUs
-        assert len(tl) == 4
-        assert tl.makespan == pytest.approx(res.compute_cycles)
-        assert all(t == "k" for t in tl.tags)
-
-    def test_timeline_busy_matches_cu_busy(self):
-        tl = Timeline(SMALL_TEST_DEVICE.num_cus)
-        spec = KernelSpec("k", np.arange(1.0, 25.0), workgroup_size=8)
-        res = dispatch(spec, SMALL_TEST_DEVICE, timeline=tl)
-        assert np.allclose(tl.busy_per_pipe(), res.cu_busy)
 
 
 class TestKernelSpecValidation:

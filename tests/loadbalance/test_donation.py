@@ -65,15 +65,6 @@ class TestDonation:
         )
         assert res.makespan_cycles == 0.0
 
-    def test_timeline(self):
-        costs = np.full(12, 30.0)
-        owner = np.zeros(12, dtype=np.int64)
-        cfg = DonationConfig(num_workers=3, donate_threshold=2)
-        res = simulate_work_donation(costs, owner, cfg, record_timeline=True)
-        assert res.timeline is not None
-        chunk_count = sum(1 for t in res.timeline.tags if t.startswith("chunk"))
-        assert chunk_count == 12
-
     def test_makespan_at_least_critical_chunk(self):
         costs = np.array([500.0, 1.0, 1.0])
         owner = np.zeros(3, dtype=np.int64)

@@ -48,11 +48,6 @@ class TestDynamicFetch:
         assert res.busy_cycles.sum() == pytest.approx(costs.sum())
         assert res.chunks_executed.sum() == 37
 
-    def test_timeline(self):
-        res = simulate_dynamic_fetch(np.full(6, 2.0), 2, record_timeline=True)
-        assert res.timeline is not None
-        assert len(res.timeline) == 6
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             simulate_dynamic_fetch(np.array([1.0]), 0)

@@ -151,20 +151,6 @@ class TestWorkStealing:
         assert res.makespan_cycles == 0.0
         assert res.chunks_executed.sum() == 0
 
-    def test_timeline_recording(self):
-        costs = np.full(8, 5.0)
-        owner = np.zeros(8, dtype=np.int64)
-        cfg = StealingConfig(num_workers=2, seed=0)
-        res = simulate_work_stealing(costs, owner, cfg, record_timeline=True)
-        assert res.timeline is not None
-        chunk_ends = [
-            e
-            for e, t in zip(res.timeline.ends, res.timeline.tags)
-            if t.startswith("chunk")
-        ]
-        assert len(chunk_ends) == 8
-        assert max(chunk_ends) == pytest.approx(res.makespan_cycles)
-
     def test_makespan_never_below_critical_chunk(self):
         costs = np.array([1000.0, 1.0, 1.0, 1.0])
         owner = np.array([0, 1, 2, 3])

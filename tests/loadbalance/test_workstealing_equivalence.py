@@ -6,8 +6,8 @@ its deque empty. It must be *bit-identical* to the original
 closure-per-event loop over :class:`~repro.gpusim.events.EventSimulator`
 kept below as :func:`reference_work_stealing`: the same result fields
 (float accumulation order included, and the makespan's type, which the
-benchmark identity hashes through ``repr``), the same per-pipe timeline
-intervals and the same sequence of traced steal instants.
+benchmark identity hashes through ``repr``) and the same sequence of
+traced steal instants.
 
 The first property draws tie-heavy and zero costs (equal times are
 ordered by their ancestor time chains), slab, random, all-on-one and
@@ -34,7 +34,6 @@ import repro.coloring.kernels as kernels
 import repro.loadbalance.workstealing as workstealing
 from repro.engine.context import RunContext
 from repro.gpusim.events import EventSimulator
-from repro.gpusim.trace import Timeline
 from repro.harness import suite
 from repro.harness.runner import run_gpu_coloring
 from repro.loadbalance.workstealing import (
@@ -46,7 +45,7 @@ from repro.obs.sink import RingBufferSink
 from repro.obs.tracer import Tracer
 
 
-def reference_work_stealing(chunk_cycles, owner, config, *, record_timeline=False, tracer=None):
+def reference_work_stealing(chunk_cycles, owner, config, *, tracer=None):
     """The original event-driven loop: one closure and heap event per step."""
     costs = np.asarray(chunk_cycles, dtype=np.float64).ravel()
     who = np.asarray(owner, dtype=np.int64).ravel()
@@ -54,7 +53,6 @@ def reference_work_stealing(chunk_cycles, owner, config, *, record_timeline=Fals
 
     rng = np.random.default_rng(config.seed)
     sim = EventSimulator()
-    timeline = Timeline(w) if record_timeline else None
 
     deques: list[deque[int]] = [deque() for _ in range(w)]
     for idx in np.argsort(who, kind="stable"):
@@ -88,8 +86,6 @@ def reference_work_stealing(chunk_cycles, owner, config, *, record_timeline=Fals
         executed[me] += 1
         failed[me] = 0
         makespan = max(makespan, end)
-        if timeline is not None:
-            timeline.record(me, start, end, f"chunk{chunk}")
         sim.schedule_at(end, lambda me=me: step(me))
 
     def step(me):
@@ -111,8 +107,6 @@ def reference_work_stealing(chunk_cycles, owner, config, *, record_timeline=Fals
             stats["hits"] += 1
             stats["migrated"] += take
             failed[me] = 0
-            if timeline is not None:
-                timeline.record(me, sim.now, when, f"steal<{victim}")
             if tracer is not None:
                 tracer.sim_instant(
                     "steal", cat="steal", at=when, track=1 + me,
@@ -145,7 +139,6 @@ def reference_work_stealing(chunk_cycles, owner, config, *, record_timeline=Fals
         steal_attempts=stats["attempts"],
         steals_succeeded=stats["hits"],
         chunks_migrated=stats["migrated"],
-        timeline=timeline,
     )
 
 
@@ -156,7 +149,7 @@ def slab_owner(n: int, w: int) -> np.ndarray:
 
 def _run_traced(fn, costs, owner, cfg):
     ring = RingBufferSink()
-    res = fn(costs, owner, cfg, record_timeline=True, tracer=Tracer(ring))
+    res = fn(costs, owner, cfg, tracer=Tracer(ring))
     instants = [(e.name, e.cat, e.ts, e.track, e.args) for e in ring.events]
     return res, instants
 
@@ -166,7 +159,7 @@ def _bits(a: np.ndarray) -> tuple:
 
 
 def assert_identical(costs, owner, cfg) -> StealingResult:
-    """Run both simulators traced and with timelines; demand exact agreement."""
+    """Run both simulators traced; demand exact agreement."""
     new, new_instants = _run_traced(simulate_work_stealing, costs, owner, cfg)
     ref, ref_instants = _run_traced(reference_work_stealing, costs, owner, cfg)
     assert type(new.makespan_cycles) is type(ref.makespan_cycles)
@@ -179,9 +172,6 @@ def assert_identical(costs, owner, cfg) -> StealingResult:
         ref.steals_succeeded,
         ref.chunks_migrated,
     )
-    assert len(new.timeline) == len(ref.timeline)
-    for pipe in range(cfg.num_workers):
-        assert new.timeline.intervals_for(pipe) == ref.timeline.intervals_for(pipe)
     assert new_instants == ref_instants
     return new
 
@@ -382,6 +372,4 @@ def test_omitted_owner_is_the_slab_owner(case, short):
         slabs.steals_succeeded,
         slabs.chunks_migrated,
     )
-    for pipe in range(cfg.num_workers):
-        assert omitted.timeline.intervals_for(pipe) == slabs.timeline.intervals_for(pipe)
     assert instants == slab_instants

@@ -47,38 +47,6 @@ class TestRecolorRounds:
         out.validate(g)
 
 
-class TestTraceExportFromDynamic:
-    def test_dynamic_fetch_timeline_exports(self, tmp_path):
-        import json
-
-        from repro.analysis.trace_io import save_chrome_trace
-        from repro.loadbalance.dynamic import simulate_dynamic_fetch
-
-        res = simulate_dynamic_fetch(np.full(12, 7.0), 3, record_timeline=True)
-        p = tmp_path / "dyn.json"
-        save_chrome_trace(res.timeline, p, process_name="dynamic")
-        payload = json.loads(p.read_text())
-        assert len([e for e in payload["traceEvents"] if e["ph"] == "X"]) == 12
-
-
-class TestGanttFromStealing:
-    def test_render_real_schedule(self):
-        from repro.analysis.gantt import render_gantt
-        from repro.loadbalance.workstealing import (
-            StealingConfig,
-            simulate_work_stealing,
-        )
-
-        costs = np.full(20, 30.0)
-        owner = np.zeros(20, dtype=np.int64)
-        res = simulate_work_stealing(
-            costs, owner, StealingConfig(num_workers=4, seed=0), record_timeline=True
-        )
-        out = render_gantt(res.timeline, width=30)
-        assert out.count("\n") == 3  # 4 rows
-        assert "█" in out
-
-
 class TestIterationTimingFields:
     def test_bandwidth_bound_flag_grid(self):
         from repro.gpusim.device import RADEON_HD_7950
