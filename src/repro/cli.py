@@ -93,6 +93,18 @@ def _resolve_graph(name: str, scale: str) -> tuple[CSRGraph, str]:
     )
 
 
+def _executor(ctx: RunContext, **config):
+    """``ctx.executor(**config)``, or exit with one ``error:`` line.
+
+    Commands build every executor before their first run, so a config
+    the executor rejects stops them before they print or record anything.
+    """
+    try:
+        return ctx.executor(**config)
+    except ValueError as exc:  # ExecutionConfig / GPUExecutor checks
+        raise SystemExit(f"error: {exc}") from None
+
+
 def _open_recorder(args: argparse.Namespace, *, source: str):
     """A :class:`repro.store.Recorder` on ``--store``, or ``None``."""
     store = getattr(args, "store", None)
@@ -724,20 +736,12 @@ def _cmd_color(args: argparse.Namespace) -> int:
             "random": lambda g: ro.random_order(g, seed=args.seed),
         }[args.reorder](graph)
         graph = graph.permute(perm)
-    print(format_kv(summarize(graph, name).as_row(), title="input"))
-    print()
     ring = None
     ctx = None
-    if args.algorithm in CPU_ALGORITHMS:
-        if args.trace:
-            print("note: --trace applies to GPU runs only; ignoring")
-        result = run_cpu_coloring(graph, args.algorithm)
-    else:
+    if args.algorithm not in CPU_ALGORITHMS:
         ctx = _make_context(args)
-        # --validate wants the scheduler/trace validators too, so it
-        # turns tracing on even without --trace (cycle-identical).
-        ring = ctx.enable_tracing() if (args.trace or args.validate) else None
-        executor = ctx.executor(
+        executor = _executor(
+            ctx,
             mapping=args.mapping,
             schedule=args.schedule,
             workgroup_size=args.workgroup_size,
@@ -745,6 +749,16 @@ def _cmd_color(args: argparse.Namespace) -> int:
             degree_threshold=args.degree_threshold,
             sort_by_degree=args.sort_by_degree,
         )
+    print(format_kv(summarize(graph, name).as_row(), title="input"))
+    print()
+    if ctx is None:
+        if args.trace:
+            print("note: --trace applies to GPU runs only; ignoring")
+        result = run_cpu_coloring(graph, args.algorithm)
+    else:
+        # --validate wants the scheduler/trace validators too, so it
+        # turns tracing on even without --trace (cycle-identical).
+        ring = ctx.enable_tracing() if (args.trace or args.validate) else None
         algo_kwargs = (
             {"priority": args.priority} if args.algorithm in ("maxmin", "jp") else {}
         )
@@ -1122,20 +1136,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         jobs = 1
+    ctx = _make_context(args)
+    configs = [sweep_config(args.parameter, value) for value in args.values]
+    executors = [
+        _executor(ctx, mapping=args.mapping, schedule=args.schedule, **config)
+        for config in configs
+    ]
     if jobs > 1:
-        rows = _sweep_rows_parallel(args, jobs)
+        rows = _sweep_rows_parallel(args, jobs, ctx, configs)
         name = args.graph
     else:
         graph, name = _resolve_graph(args.graph, args.scale)
-        ctx = _make_context(args)
         recorder = _open_recorder(args, source="cli:sweep")
         rows = []
-        for value in args.values:
-            executor = ctx.executor(
-                mapping=args.mapping,
-                schedule=args.schedule,
-                **sweep_config(args.parameter, value),
-            )
+        for value, executor in zip(args.values, executors, strict=True):
             result = run_gpu_coloring(
                 graph,
                 args.algorithm,
@@ -1166,7 +1180,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_rows_parallel(args: argparse.Namespace, jobs: int) -> list[dict]:
+def _sweep_rows_parallel(
+    args: argparse.Namespace, jobs: int, ctx: RunContext, configs: list[dict]
+) -> list[dict]:
     """Sweep points as self-contained batch cells across worker processes."""
     from .harness.batch import BatchJob, run_batch
 
@@ -1177,17 +1193,17 @@ def _sweep_rows_parallel(args: argparse.Namespace, jobs: int) -> list[dict]:
             mapping=args.mapping,
             schedule=args.schedule,
             seed=args.seed,
-            config=sweep_config(args.parameter, value),
+            config=config,
             label=f"{args.graph}:{args.parameter}={value}",
         )
-        for value in args.values
+        for value, config in zip(args.values, configs, strict=True)
     ]
     recorder = _open_recorder(args, source="cli:sweep")
     try:
         batch_rows = run_batch(
             cells,
             scale=args.scale,
-            context=_make_context(args),
+            context=ctx,
             parallel_jobs=jobs,
             recorder=recorder,
         )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -81,9 +80,10 @@ def run_batch_cell(
     (:mod:`repro.harness.parallel`), so both paths report identical
     rows by construction. The cell times on ``ctx.device``.
 
-    With a ``recorder``, the cell additionally lands in the run store
-    (with its host wall time); the returned row is unchanged either
-    way, so recorded and unrecorded batches stay bit-identical.
+    With a ``recorder``, :func:`~repro.harness.runner.run_gpu_coloring`
+    also lands the cell in the run store (with its host wall time); the
+    returned row is unchanged either way, so recorded and unrecorded
+    batches stay bit-identical.
     """
     executor = ctx.executor(mapping=job.mapping, schedule=job.schedule, **job.config)
     span = (
@@ -92,27 +92,15 @@ def run_batch_cell(
         else nullcontext()
     )
     with span:
-        t0 = time.perf_counter()
         result = run_gpu_coloring(
             graph,
             job.algorithm,
             executor,
             seed=job.seed,
             deep_validate=deep_validate,
-        )
-        wall_ms = (time.perf_counter() - t0) * 1e3
-    if recorder is not None:
-        recorder.record_run(
-            graph=graph,
-            result=result,
-            seed=job.seed,
+            recorder=recorder,
             dataset=job.dataset,
-            scale=scale or None,
-            mapping=job.mapping,
-            schedule=job.schedule,
-            config=executor.config,
-            counters=executor.counters,
-            wall_ms=wall_ms,
+            scale=scale,
         )
     return {
         "job": job.name,

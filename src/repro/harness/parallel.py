@@ -1,4 +1,9 @@
-"""Deterministic process-pool execution for batches, sweeps, and benches.
+"""Deterministic process-pool execution for batch cells.
+
+Every parallel run goes through :func:`run_batch_parallel`: ``--jobs N``
+of ``repro batch``, ``repro sweep`` and ``repro pipeline run``, served
+jobs under ``--job-workers N``, and the benches under
+``REPRO_BENCH_JOBS``.
 
 The paper's evaluation is a large grid of *independent* cells
 (algorithm × graph × configuration), so the harness can use every host

@@ -22,7 +22,6 @@ __all__ = [
     "SCALES",
     "suite_names",
     "build",
-    "dataset_digest",
     "summarize_suite",
 ]
 
@@ -162,12 +161,8 @@ def suite_names(*, skewed_only: bool | None = None) -> list[str]:
 def build(name: str, scale: str = "standard") -> CSRGraph:
     """Build (or fetch cached) suite graph ``name`` at ``scale``.
 
-    Besides the process-local cache, an on-disk
-    :class:`~repro.harness.artifacts.ArtifactCache` is consulted when
-    the ``REPRO_ARTIFACT_CACHE`` environment variable names a directory:
-    a verified hit skips generation entirely, a miss generates and then
-    persists for the next invocation.  Generators are deterministic, so
-    the loaded arrays are identical to freshly generated ones.
+    Generators are deterministic, so a cached graph is identical to a
+    freshly generated one.
     """
     if name not in SUITE:
         raise KeyError(f"unknown dataset {name!r}; known: {sorted(SUITE)}")
@@ -175,31 +170,8 @@ def build(name: str, scale: str = "standard") -> CSRGraph:
         raise KeyError(f"unknown scale {scale!r}; known: {SCALES}")
     key = (name, scale)
     if key not in _CACHE:
-        from .artifacts import cache_from_env, graph_key
-
-        disk = cache_from_env()
-        if disk is not None:
-            gkey = graph_key(name, scale)
-            graph = disk.load_graph(gkey)
-            if graph is None:
-                graph = SUITE[name].build(scale)
-                disk.store_graph(gkey, graph)
-            _CACHE[key] = graph
-        else:
-            _CACHE[key] = SUITE[name].build(scale)
+        _CACHE[key] = SUITE[name].build(scale)
     return _CACHE[key]
-
-
-def dataset_digest(name: str, scale: str = "standard") -> str:
-    """The run-store content digest of suite graph ``name`` at ``scale``.
-
-    Builds (or fetches the cached) graph and hashes its CSR arrays —
-    the same digest :meth:`repro.store.Recorder.record_run` keys rows
-    by, so callers can join suite names against store rows.
-    """
-    from ..store.db import graph_digest
-
-    return graph_digest(build(name, scale))
 
 
 def summarize_suite(scale: str = "standard") -> list[GraphSummary]:

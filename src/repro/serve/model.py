@@ -18,12 +18,13 @@ device:
 :func:`normalize_spec` validates a raw spec against the same registries
 the CLI uses (suite datasets, GPU algorithms, mappings, schedules,
 scales) and fills defaults, so two submissions that mean the same work
-normalize identically. :func:`spec_digest` then hashes the *expanded*
-plan — per-cell ``config_digest`` via the run store's digest machinery
-plus the (dataset, scale) pair that deterministically fixes the graph
-content — giving the server its request-dedup key: same digest ⇒ same
-cells ⇒ the cached or in-flight result can be returned instead of
-recomputing.
+normalize identically. It also builds each expanded cell's executor on
+the spec's device, so a config the worker would reject fails at submit.
+:func:`spec_digest` then hashes the *expanded* plan — per-cell
+``config_digest`` via the run store's digest machinery plus the
+(dataset, scale) pair that deterministically fixes the graph content —
+giving the server its request-dedup key: same digest ⇒ same cells ⇒
+the cached or in-flight result can be returned instead of recomputing.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..coloring.kernels import MAPPINGS, SCHEDULES
+from ..engine.context import RunContext
 from ..gpusim.device import named_device
 from ..harness.batch import BatchJob, sweep_config
 from ..harness.runner import GPU_ALGORITHMS
@@ -208,7 +210,22 @@ def normalize_spec(raw: Any) -> dict[str, Any]:
         scale = raw.get("scale")
         if scale is not None:
             spec["scale"] = _check_choice(scale, "scale", SCALES)
+    _check_cells(spec)
     return spec
+
+
+def _check_cells(spec: dict[str, Any]) -> None:
+    """Build every cell's executor on the spec's device, as the worker will.
+
+    A config the executor rejects is then a :class:`SpecError` at submit
+    time, naming the cell, instead of a job that fails in the worker.
+    """
+    ctx = RunContext(device=named_device(spec["device"]))
+    for cell in expand_spec(spec).cells:
+        try:
+            ctx.executor(mapping=cell.mapping, schedule=cell.schedule, **cell.config)
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"cell {cell.name}: {exc}") from None
 
 
 def expand_spec(spec: dict[str, Any]) -> JobPlan:

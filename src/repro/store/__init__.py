@@ -35,7 +35,7 @@ from .pipeline import (
     resolve_pipeline,
     run_pipeline,
 )
-from .recorder import Recorder, RecorderSpec, recorder_from_env
+from .recorder import Recorder, RecorderSpec
 from .report import (
     Regression,
     RegressionReport,
@@ -67,7 +67,6 @@ __all__ = [
     "load_baseline",
     "load_pipeline",
     "pipeline_from_spec",
-    "recorder_from_env",
     "resolve_pipeline",
     "run_key",
     "run_pipeline",

@@ -214,7 +214,7 @@ CANONICAL_RUN_COLUMNS = (
 
 
 def graph_digest(graph: "CSRGraph") -> str:
-    """Content digest of a CSR graph (same hash as the artifact cache)."""
+    """Content digest of a CSR graph (blake2b of its int64 offsets and int32 indices)."""
     h = hashlib.blake2b(digest_size=16)
     h.update(np.ascontiguousarray(graph.indptr, dtype=np.int64).tobytes())
     h.update(np.ascontiguousarray(graph.indices, dtype=np.int32).tobytes())

@@ -16,7 +16,7 @@ resulting row set identical to a serial run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from .db import RunStore, config_digest, current_git_rev, graph_digest
@@ -28,7 +28,7 @@ if TYPE_CHECKING:
     from ..gpusim.counters import ExecutionCounters
     from ..harness.autotune import TuneOutcome
 
-__all__ = ["Recorder", "RecorderSpec", "recorder_from_env"]
+__all__ = ["Recorder", "RecorderSpec"]
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,6 @@ class Recorder:
         clone.scale = self.scale
         clone.source = source
         return clone
-
-    def spec_with(self, **changes: Any) -> RecorderSpec:
-        return replace(self.spec, **changes)
 
     def close(self) -> None:
         self.store.close()
@@ -213,33 +210,3 @@ class Recorder:
                 for cfg, cycles in outcome.scoreboard
             ],
         )
-
-
-def recorder_from_env(
-    *,
-    default: str | None = None,
-    scale: str = "",
-    source: str = "api",
-) -> Recorder | None:
-    """A recorder on the :envvar:`REPRO_RUN_STORE` database, if enabled.
-
-    ``default`` is used when the variable is unset; ``None`` disables
-    recording in that case (callers opt in to a default location).
-    """
-    from .db import store_path_from_env
-
-    if default is None:
-        import os
-
-        from .db import ENV_VAR, _DISABLED
-
-        raw = os.environ.get(ENV_VAR)
-        if raw is None or raw.strip().lower() in _DISABLED:
-            return None
-        path = raw
-    else:
-        resolved = store_path_from_env(default)
-        if resolved is None:
-            return None
-        path = str(resolved)
-    return Recorder(RunStore(path), scale=scale, source=source)

@@ -332,7 +332,7 @@ class TestMicroStructures:
 class TestPinnedOutput:
     @pytest.mark.parametrize("name", list(SUITE))
     def test_suite_graph_digests(self, name):
-        # built directly, past the process and on-disk graph caches
+        # built directly, past the process-local graph cache
         built = {scale: graph_digest(SUITE[name].build(scale)) for scale in SCALES}
         assert built == SUITE_DIGESTS[name]
 

@@ -1,24 +1,18 @@
-"""Tests for the parallel harness: pools, batch payloads, artifact cache.
+"""Tests for the parallel harness: pools, batch payloads, store rows.
 
 The contract under test is *determinism*: a parallel run may change
 wall-clock, never results.  Rows must be bit-identical at any worker
 count and under both start methods, merged traces must read like a
-serial run, and the artifact cache must only ever save time (corrupt
-file ⇒ miss, never a wrong graph).
+serial run, and recorded store rows must match a serial run's.
 """
 
-from pathlib import Path
-
-import numpy as np
 import pytest
 
 from repro.engine.context import RunContext
 from repro.gpusim.device import RADEON_HD_7950
 from repro.graphs import generators as gen
-from repro.harness.artifacts import ArtifactCache, graph_key
 from repro.harness.batch import BatchJob, run_batch
 from repro.harness.parallel import parallel_map
-from repro.harness.sweeps import sweep
 from repro.obs.registry import MetricsRegistry
 
 JOBS = [
@@ -43,10 +37,6 @@ def _graph_probe(graph) -> tuple[int, bool]:
     """Worker-side probe: edge count and whether the arrays are writable."""
     writable = graph.indptr.flags.writeable or graph.indices.flags.writeable
     return graph.num_edges, writable
-
-
-def _measure(chunk_size: int, scale: float) -> dict[str, float]:
-    return {"value": chunk_size * scale}
 
 
 class TestParallelMap:
@@ -171,72 +161,32 @@ class TestRunBatchRecording:
         assert all("wall_ms" not in row for row in rows)
         assert all(r["wall_ms"] is not None and r["wall_ms"] >= 0 for r in stored)
 
+    def test_batch_cell_and_run_gpu_coloring_record_one_row(self, tmp_path):
+        # the batch cell records through run_gpu_coloring, so both entry
+        # points must land the same cell on the same content key
+        from repro.harness.runner import run_gpu_coloring
+        from repro.harness.suite import build
+        from repro.store import Recorder, run_key
 
-class TestSweepJobs:
-    def test_parallel_sweep_matches_serial(self):
-        grid = {"chunk_size": [256, 512, 1024], "scale": [0.5, 2.0]}
-        assert sweep(_measure, grid, jobs=2) == sweep(_measure, grid)
-
-
-class TestArtifactCache:
-    def test_miss_then_hit_roundtrip(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        key = graph_key("rmat", "tiny")
-        assert cache.load_graph(key) is None
-        graph = gen.rmat(7, edge_factor=8, seed=1)
-        cache.store_graph(key, graph)
-        loaded = cache.load_graph(key)
-        assert loaded is not None
-        assert np.array_equal(loaded.indptr, graph.indptr)
-        assert np.array_equal(loaded.indices, graph.indices)
-        assert cache.stats() == {"hits": 1, "misses": 1}
-
-    def test_corrupt_file_is_a_miss(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        key = graph_key("grid2d", "tiny")
-        cache.store_graph(key, gen.grid_2d(6, 6))
-        cache._graph_path(key).write_bytes(b"not an npz at all")
-        assert cache.load_graph(key) is None
-
-    def test_tampered_arrays_fail_digest(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        key = graph_key("grid2d", "tiny")
-        graph = gen.grid_2d(6, 6)
-        cache.store_graph(key, graph)
-        # re-save with a stale digest: arrays change, digest doesn't
-        path = cache._graph_path(key)
-        with np.load(path) as npz:
-            digest = str(npz["digest"])
-        indices = graph.indices.copy()
-        indices[:2] = indices[1::-1]
-        with path.open("wb") as fh:
-            np.savez_compressed(
-                fh,
-                indptr=graph.indptr.astype(np.int64),
-                indices=indices.astype(np.int32),
-                digest=digest,
+        job = BatchJob("powerlaw", algorithm="jp", schedule="stealing", seed=3)
+        with Recorder(
+            str(tmp_path / "runs.sqlite"), git_rev="t", scale="tiny"
+        ) as rec:
+            run_batch([job], scale="tiny", recorder=rec)
+            (batch_row,) = rec.store.runs()
+            canonical = rec.store.canonical_rows()
+            executor = RunContext().executor(mapping="thread", schedule="stealing")
+            run_gpu_coloring(
+                build("powerlaw", "tiny"),
+                "jp",
+                executor,
+                seed=3,
+                recorder=rec,
+                dataset="powerlaw",
+                scale="tiny",
             )
-        assert cache.load_graph(key) is None
+            (row,) = rec.store.runs()
+            assert rec.store.canonical_rows() == canonical
+        assert run_key(row) == run_key(batch_row)
+        assert row["runs_count"] == 2
 
-    def test_key_depends_on_recipe(self):
-        assert graph_key("rmat", "tiny") != graph_key("rmat", "small")
-        assert graph_key("rmat", "tiny") != graph_key("road", "tiny")
-        assert graph_key("rmat", "tiny", version=1) != graph_key(
-            "rmat", "tiny", version=2
-        )
-
-    def test_suite_build_uses_disk_cache(self, tmp_path, monkeypatch):
-        from repro.harness import suite
-
-        monkeypatch.setenv("REPRO_ARTIFACT_CACHE", str(tmp_path))
-        monkeypatch.setattr(suite, "_CACHE", {})
-        first = suite.build("grid2d", "tiny")
-        assert _cache_dir_has_graph(tmp_path, "grid2d", "tiny")
-        monkeypatch.setattr(suite, "_CACHE", {})  # force the disk path
-        second = suite.build("grid2d", "tiny")
-        assert np.array_equal(first.indptr, second.indptr)
-        assert np.array_equal(first.indices, second.indices)
-
-
-def _cache_dir_has_graph(root, name, scale) -> bool:
-    return (Path(root) / "graphs" / f"{graph_key(name, scale)}.npz").exists()

@@ -63,6 +63,27 @@ class TestNormalize:
             ({"kind": "batch", "datasets": []}, "non-empty list"),
             ({"kind": "pipeline", "pipeline": "nope"}, "pipeline"),
             ({"kind": "pipeline", "pipeline": 7}, "built-in name"),
+            (
+                {
+                    "kind": "sweep",
+                    "dataset": "rmat",
+                    "parameter": "workgroup_size",
+                    "values": [128, 512, 100],
+                },
+                "cell rmat:workgroup_size=512: workgroup_size exceeds device limit",
+            ),
+            (
+                {"kind": "color", "dataset": "rmat", "config": {"chunk_size": 100}},
+                "cell rmat/maxmin:thread\\+grid: chunk_size must be",
+            ),
+            (
+                {
+                    "kind": "color",
+                    "dataset": "rmat",
+                    "config": {"chunk_size": 100, "bogus": 1},
+                },
+                "cell rmat/maxmin:thread\\+grid: .*bogus",
+            ),
         ],
     )
     def test_malformed_specs_raise(self, raw, match):
@@ -153,7 +174,7 @@ class TestDigest:
             {"seed": 1},
             {"scale": "small"},
             {"algorithm": "jp"},
-            {"config": {"chunk_size": 99}},
+            {"config": {"chunk_size": 512}},
             {"device": "r9-290x"},
         ):
             other = spec_digest(normalize_spec({**base, **delta}))

@@ -11,10 +11,8 @@ from repro.harness.runner import run_gpu_coloring
 from repro.harness.suite import build
 from repro.store import (
     Recorder,
-    RecorderSpec,
     RunStore,
     graph_digest,
-    recorder_from_env,
 )
 
 
@@ -125,34 +123,3 @@ class TestSpec:
             with pytest.raises(ValueError, match="in-memory"):
                 _ = rec.spec
 
-    def test_spec_with_overrides(self, recorder):
-        spec = recorder.spec_with(source="worker")
-        assert spec.source == "worker"
-        assert spec.path == str(recorder.store.path)
-        assert isinstance(spec, RecorderSpec)
-
-
-class TestRecorderFromEnv:
-    def test_disabled_by_default_without_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RUN_STORE", raising=False)
-        assert recorder_from_env() is None
-
-    def test_env_path_enables(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_RUN_STORE", str(tmp_path / "env.sqlite"))
-        rec = recorder_from_env(scale="tiny", source="bench")
-        assert rec is not None
-        try:
-            assert rec.source == "bench"
-            assert rec.store.path == tmp_path / "env.sqlite"
-        finally:
-            rec.close()
-
-    def test_off_beats_default(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_RUN_STORE", "off")
-        assert recorder_from_env(default=str(tmp_path / "d.sqlite")) is None
-
-    def test_default_used_when_unset(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_RUN_STORE", raising=False)
-        rec = recorder_from_env(default=str(tmp_path / "d.sqlite"))
-        assert rec is not None
-        rec.close()

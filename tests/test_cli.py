@@ -196,6 +196,41 @@ class TestSweepCommand:
         assert rc == 0
 
 
+class TestRejectedConfig:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["sweep", "rmat", "--parameter", "workgroup_size", "128", "512"],
+                "workgroup_size exceeds device limit",
+            ),
+            (
+                ["sweep", "rmat", "--parameter", "workgroup_size", "128", "512", "--jobs", "2"],
+                "workgroup_size exceeds device limit",
+            ),
+            (
+                ["sweep", "rmat", "--parameter", "chunk_size", "100", "--jobs", "2"],
+                "chunk_size must be a positive multiple",
+            ),
+            (
+                ["color", "rmat", "--workgroup-size", "512"],
+                "workgroup_size exceeds device limit",
+            ),
+            (
+                ["color", "rmat", "--chunk-size", "100"],
+                "chunk_size must be a positive multiple",
+            ),
+        ],
+    )
+    def test_one_error_line_before_any_run(self, argv, message, capsys):
+        # every executor is built before the first run, so a rejected
+        # point stops the command before it prints a row
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--scale", "tiny"])
+        assert str(exc.value.code).startswith(f"error: {message}")
+        assert capsys.readouterr().out == ""
+
+
 class TestTuneCommand:
     def test_scoreboard_printed(self, capsys):
         assert main(["tune", "citation", "--scale", "tiny"]) == 0
