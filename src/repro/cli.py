@@ -41,7 +41,7 @@ from pathlib import Path
 from .analysis.tables import format_kv, format_table
 from .coloring.kernels import MAPPINGS, SCHEDULES
 from .engine.context import RunContext
-from .gpusim.device import named_device
+from .gpusim.device import DeviceConfig, named_device
 from .graphs.csr import CSRGraph
 from .graphs.io import load_graph
 from .graphs.stats import summarize
@@ -69,10 +69,18 @@ def _version() -> str:
         return __version__
 
 
+def _device(name: str) -> DeviceConfig:
+    """``named_device(name)``, or exit with one ``error:`` line."""
+    try:
+        return named_device(name)
+    except KeyError as exc:
+        raise SystemExit(f"error: {exc.args[0]}") from None
+
+
 def _make_context(args: argparse.Namespace) -> RunContext:
     """One RunContext per CLI invocation, from the common options."""
     return RunContext(
-        device=named_device(args.device),
+        device=_device(args.device),
         seed=getattr(args, "seed", 0),
     )
 
@@ -931,13 +939,14 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     try:
         pipeline = resolve_pipeline(args.pipeline)
     except (KeyError, ValueError) as exc:
-        raise SystemExit(f"error: {exc}") from None
+        raise SystemExit(f"error: {exc.args[0]}") from None
     scale = args.scale if args.scale is not None else pipeline.scale
+    device = _device(args.device)
     with Recorder(args.store, scale=scale) as recorder:
         rows = run_pipeline(
             pipeline,
             recorder,
-            device=named_device(args.device),
+            device=device,
             scale=scale,
             jobs=args.jobs,
             deep_validate=args.deep_validate,

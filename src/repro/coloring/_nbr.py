@@ -38,36 +38,51 @@ class PriorityCounts:
     ``p[w] >= p[v]``, ``lower[v]`` those with ``p[w] <= p[v]``. So
     ``higher[v] == 0`` is exactly ``p[v] > max`` and ``lower[v] == 0``
     exactly ``p[v] < min`` of the uncolored neighbors' priorities, ties
-    included. Priorities are fixed for the run: the counts are built
-    once, and :meth:`retire` only decrements, so each directed edge is
-    touched once per run and no row is ever reduced again. The counts
-    stay exact on every row, colored rows included.
+    included. Priorities are fixed for the run, so the side each CSR
+    entry counts on is fixed too: it is worked out once, as one index
+    into ``[higher | lower]`` per entry, and :meth:`retire` only
+    gathers and decrements those indices. Each directed edge is touched
+    once per run and no row is ever reduced again. The counts stay
+    exact on every row, colored rows included.
     """
 
-    __slots__ = ("higher", "lower", "_graph", "_p", "_uncolored", "_counts")
+    __slots__ = ("higher", "lower", "_graph", "_key", "_tie", "_uncolored", "_counts")
 
     def __init__(self, graph: CSRGraph, priorities: np.ndarray) -> None:
         n = graph.num_vertices
+        p = np.asarray(priorities, dtype=np.float64)
         self._graph = graph
-        self._p = np.asarray(priorities, dtype=np.float64)
         self._uncolored = np.ones(n, dtype=bool)
-        keys = self._keys(np.arange(n), graph.degrees, graph.indices)
-        self._counts = np.bincount(keys, minlength=2 * n)
+        # Entry (u, w) counts toward higher[w] when p[u] >= p[w] and
+        # toward lower[w] when p[u] <= p[w]: key w, or w + n when
+        # p[u] < p[w]. A tie counts on both sides; the tie mask marks
+        # the entries that also count at w + n.
+        pu = np.repeat(p, graph.degrees)
+        pw = np.take(p, graph.indices)
+        lt, tie = pu < pw, pu == pw
+        del pu, pw  # free the two float gathers before the int64 key exists
+        key = graph.indices.astype(np.int64)
+        key += n * lt
+        self._tie = tie if tie.any() else None
+        self._counts = np.bincount(self._with_ties(key, self._tie), minlength=2 * n)
+        if 2 * n - 1 <= np.iinfo(np.int32).max:
+            # Guarded: every key is below 2n, so int32 holds it.
+            key = key.astype(np.int32)  # check: allow(RC008)
+        self._key = key
         self.higher = self._counts[:n]
         self.lower = self._counts[n:]
 
-    def _keys(self, rows: np.ndarray, deg: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
-        """Indices into ``[higher | lower]`` of the edges of ``rows``.
+    def _with_ties(self, key: np.ndarray, tie: np.ndarray | None) -> np.ndarray:
+        """``key`` plus, for each tied entry, its lower-side key ``key + n``."""
+        if tie is None:
+            return key
+        return np.concatenate((key, key[tie] + self._graph.num_vertices))
 
-        ``deg`` holds the rows' degrees and ``nbrs`` their concatenated
-        neighbor lists. Edge ``(u, w)`` counts toward ``higher[w]`` when
-        ``p[u] >= p[w]`` and toward ``lower[w]`` when ``p[u] <= p[w]``
-        (both on a tie).
-        """
-        n = self._graph.num_vertices
-        pu = np.repeat(self._p[rows], deg)
-        pw = np.take(self._p, nbrs)
-        return np.concatenate((nbrs + n * (pu < pw), nbrs[pu == pw] + n))
+    def extrema(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Masks over ``ids``: local maxima, and local minima that are not maxima."""
+        is_max = self.higher[ids] == 0
+        is_min = (self.lower[ids] == 0) & ~is_max
+        return is_max, is_min
 
     def retire(self, ids: np.ndarray) -> None:
         """Mark ``ids`` colored and drop them from their neighbors' counts.
@@ -82,9 +97,9 @@ class PriorityCounts:
         # flat positions of the rows' entries in graph.indices
         offsets = np.repeat(starts - (np.cumsum(deg) - deg), deg)
         pos = np.arange(int(deg.sum()), dtype=np.int64) + offsets
-        keys = self._keys(ids, deg, np.take(self._graph.indices, pos))
+        tie = self._tie[pos] if self._tie is not None else None
         # unbuffered, so repeated keys each count
-        np.subtract.at(self._counts, keys, 1)
+        np.subtract.at(self._counts, self._with_ties(self._key[pos], tie), 1)
 
 
 # The full-adjacency reductions and the first-fit kernel, as plain

@@ -80,19 +80,18 @@ def edge_centric_maxmin(
         decide_cycles = _vertex_decision_cycles(executor)
     cap = max_iterations if max_iterations is not None else n + 1
 
-    uncolored = np.ones(n, dtype=bool)
     counts = PriorityCounts(graph, priorities)
+    # the uncolored ids, ascending; each sweep reads and shrinks only this
+    active_ids = np.arange(n, dtype=np.int64)
     k = 0
-    while uncolored.any():
+    while active_ids.size:
         if k >= cap:
             break
-        active_ids = np.flatnonzero(uncolored)
-        is_max = uncolored & (counts.higher == 0)
-        is_min = uncolored & (counts.lower == 0) & ~is_max
-        colors[is_max] = 2 * k
-        colors[is_min] = 2 * k + 1
-        newly = np.flatnonzero(is_max | is_min)
-        uncolored[newly] = False
+        is_max, is_min = counts.extrema(active_ids)
+        colors[active_ids[is_max]] = 2 * k
+        colors[active_ids[is_min]] = 2 * k + 1
+        done = is_max | is_min
+        newly = active_ids[done]
         counts.retire(newly)
 
         log.sweep(k, active_ids.size, newly.size)
@@ -109,6 +108,7 @@ def edge_centric_maxmin(
             decide_cycles,
             traffic_elements=4.0 * active_ids.size,
         )
+        active_ids = active_ids[~done]
         k += 1
 
     iterations, total_cycles = log.finish()

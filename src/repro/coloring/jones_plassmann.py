@@ -49,22 +49,23 @@ def jones_plassmann_coloring(
     log = SweepLog(executor)
     cap = max_iterations if max_iterations is not None else n + 1
 
-    uncolored = np.ones(n, dtype=bool)
     counts = PriorityCounts(graph, priorities)
+    # the uncolored ids, ascending; each sweep reads and shrinks only this
+    active_ids = np.arange(n, dtype=np.int64)
     k = 0
-    while uncolored.any():
+    while active_ids.size:
         if k >= cap:
             break
-        active_ids = np.flatnonzero(uncolored)
-        winner_ids = np.flatnonzero(uncolored & (counts.higher == 0))
+        won = counts.higher[active_ids] == 0
+        winner_ids = active_ids[won]
         # Winners form an independent set among uncolored vertices, so
         # assigning all their first-fit colors at once cannot conflict.
         colors[winner_ids] = backend.first_fit_colors(graph, colors, winner_ids)
-        uncolored[winner_ids] = False
         counts.retire(winner_ids)
 
         log.sweep(k, active_ids.size, winner_ids.size)
         log.vertices(f"jp_it{k}", degrees, active_ids)
+        active_ids = active_ids[~won]
         k += 1
 
     iterations, total_cycles = log.finish()

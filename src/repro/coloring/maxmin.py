@@ -31,10 +31,10 @@ def compact_colors(colors: np.ndarray) -> np.ndarray:
     """Remap used colors to a dense ``0..k-1`` range (order-preserving)."""
     out = np.asarray(colors, dtype=np.int64).copy()
     mask = out != UNCOLORED
-    used = np.unique(out[mask])
-    remap = np.full(int(used.max()) + 1 if used.size else 0, -1, dtype=np.int64)
-    remap[used] = np.arange(used.size)
-    out[mask] = remap[out[mask]]
+    # rank of each used color among the used ones: a running count of
+    # which colors occur, read at each color
+    used = np.bincount(out[mask]) > 0
+    out[mask] = (np.cumsum(used) - 1)[out[mask]]
     return out
 
 
@@ -90,29 +90,27 @@ def maxmin_coloring(
     log = SweepLog(executor)
     cap = max_iterations if max_iterations is not None else n + 1
 
-    uncolored = np.ones(n, dtype=bool)
     counts = PriorityCounts(graph, priorities)
+    # the uncolored ids, ascending; each sweep reads and shrinks only this
+    active_ids = np.arange(n, dtype=np.int64)
     k = 0
-    while uncolored.any():
-        if k >= cap:
-            break
-        active_ids = np.flatnonzero(uncolored)
-        if active_ids.size < stop_when_active_below:
+    while active_ids.size:
+        if k >= cap or active_ids.size < stop_when_active_below:
             break
         # One kernel sweep: every uncolored vertex reads uncolored
         # neighbors' priorities and tests for local max / local min
         # (decided here from the counts of uncolored neighbors above
         # and below it).
-        is_max = uncolored & (counts.higher == 0)
-        is_min = uncolored & (counts.lower == 0) & ~is_max
-        colors[is_max] = 2 * k
-        colors[is_min] = 2 * k + 1
-        newly = np.flatnonzero(is_max | is_min)
-        uncolored[newly] = False
+        is_max, is_min = counts.extrema(active_ids)
+        colors[active_ids[is_max]] = 2 * k
+        colors[active_ids[is_min]] = 2 * k + 1
+        done = is_max | is_min
+        newly = active_ids[done]
         counts.retire(newly)
 
         log.sweep(k, active_ids.size, newly.size)
         log.vertices(f"maxmin_it{k}", degrees, active_ids)
+        active_ids = active_ids[~done]
         k += 1
 
     iterations, total_cycles = log.finish()

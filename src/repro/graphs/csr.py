@@ -254,12 +254,8 @@ class CSRGraph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate undirected edges once, as ``(u, v)`` with ``u < v``."""
-        owner = np.repeat(
-            np.arange(self._n, dtype=np.int64), np.diff(self._indptr)
-        )
-        mask = owner < self._indices
-        for u, v in zip(owner[mask], self._indices[mask], strict=True):
-            yield int(u), int(v)
+        u, v = self.edge_array()
+        yield from zip(u.tolist(), v.tolist(), strict=True)
 
     def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
         """Undirected edge endpoints as two arrays with ``u < v``."""

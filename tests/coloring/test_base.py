@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.coloring.base import (
     UNCOLORED,
@@ -14,6 +17,7 @@ from repro.coloring.base import (
     validate_coloring,
 )
 from repro.graphs import generators as gen
+from repro.graphs.csr import CSRGraph
 from repro.gpusim.device import RADEON_HD_7950
 
 
@@ -55,6 +59,92 @@ class TestValidation:
         assert count_conflicts(g, np.array([0, 0, 0])) == 3
         assert count_conflicts(g, np.array([0, 0, 1])) == 1
         assert count_conflicts(g, np.array([0, 1, 2])) == 0
+
+
+def _reference_conflicts(graph, colors):
+    """Conflicting edges from the undirected edge list, ``u < v``."""
+    u, v = graph.edge_array()
+    bad = (colors[u] == colors[v]) & (colors[u] != UNCOLORED)
+    return u[bad], v[bad]
+
+
+def _reference_message(graph, colors, allow_uncolored):
+    """What the edge-list validator raised, or None for a proper coloring."""
+    if np.any(colors < UNCOLORED):
+        return "negative color below the UNCOLORED sentinel"
+    if not allow_uncolored and np.any(colors == UNCOLORED):
+        return f"{int((colors == UNCOLORED).sum())} vertices left uncolored"
+    u, v = _reference_conflicts(graph, colors)
+    if u.size:
+        return (
+            f"{u.size} conflicting edges, e.g. ({int(u[0])}, {int(v[0])}) "
+            f"both color {int(colors[u[0]])}"
+        )
+    return None
+
+
+#: small colors, the sentinel, one color below it, and colors >= 2**31
+#: whose int32 images collide with each other, with small colors and
+#: with the sentinel (2**32 - 1 wraps to -1)
+_PALETTE = [-2, UNCOLORED, 0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**33 + 2]
+
+
+@st.composite
+def graphs_and_colorings(draw, max_vertices=24, max_edges=70):
+    """A random graph (empty and edgeless ones included) and colors for it."""
+    n = draw(st.integers(0, max_vertices))
+    m = draw(st.integers(0, max_edges)) if n else 0
+    u = draw(arrays(np.int64, m, elements=st.integers(0, max(n - 1, 0))))
+    v = draw(arrays(np.int64, m, elements=st.integers(0, max(n - 1, 0))))
+    palette = draw(st.lists(st.sampled_from(_PALETTE), min_size=1, max_size=4))
+    colors = draw(arrays(np.int64, n, elements=st.sampled_from(palette)))
+    return CSRGraph.from_edges(u, v, num_vertices=n), colors
+
+
+class TestOnePassValidators:
+    """The one-pass validators agree with the edge-list reference."""
+
+    @given(graphs_and_colorings(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_agree_with_edge_list(self, data, allow_uncolored):
+        g, colors = data
+        want = _reference_message(g, colors, allow_uncolored)
+        if want is None:
+            validate_coloring(g, colors, allow_uncolored=allow_uncolored)
+        else:
+            with pytest.raises(InvalidColoringError) as exc:
+                validate_coloring(g, colors, allow_uncolored=allow_uncolored)
+            assert str(exc.value) == want
+        assert is_valid_coloring(g, colors, allow_uncolored=allow_uncolored) == (
+            want is None
+        )
+        u, _ = _reference_conflicts(g, colors)
+        assert count_conflicts(g, colors) == u.size
+
+    def test_adjacent_uncolored_vertices(self, path5):
+        colors = np.array([UNCOLORED, UNCOLORED, 0, UNCOLORED, UNCOLORED])
+        validate_coloring(path5, colors, allow_uncolored=True)
+        assert is_valid_coloring(path5, colors, allow_uncolored=True)
+        assert not is_valid_coloring(path5, colors)
+        with pytest.raises(InvalidColoringError, match="4 vertices left uncolored"):
+            validate_coloring(path5, colors)
+
+    def test_int32_images_do_not_collide(self, path5):
+        # 2**32 + c wraps to c in int32; 2**32 - 1 wraps to the sentinel
+        colors = np.array([0, 2**32, 1, 2**32 + 1, 2**32 - 1])
+        validate_coloring(path5, colors)
+        assert count_conflicts(path5, colors) == 0
+        with pytest.raises(InvalidColoringError) as exc:
+            validate_coloring(path5, np.array([0, 2**32, 2**32, 1, 2**32 - 1]))
+        assert str(exc.value) == "1 conflicting edges, e.g. (1, 2) both color 4294967296"
+
+    def test_empty_and_edgeless_graphs(self):
+        empty = CSRGraph.empty(0)
+        validate_coloring(empty, np.array([], dtype=np.int64))
+        assert count_conflicts(empty, np.array([], dtype=np.int64)) == 0
+        edgeless = CSRGraph.empty(3)
+        assert is_valid_coloring(edgeless, np.zeros(3, dtype=np.int64))
+        assert count_conflicts(edgeless, np.zeros(3, dtype=np.int64)) == 0
 
 
 class TestNumColors:

@@ -220,15 +220,34 @@ class TestRejectedConfig:
                 ["color", "rmat", "--chunk-size", "100"],
                 "chunk_size must be a positive multiple",
             ),
+            (["color", "rmat", "--device", "nope"], "unknown device 'nope'; known: ["),
+            (
+                ["sweep", "rmat", "64", "128", "--device", "nope", "--jobs", "1"],
+                "unknown device 'nope'; known: [",
+            ),
+            (
+                ["sweep", "rmat", "64", "128", "--device", "nope", "--jobs", "2"],
+                "unknown device 'nope'; known: [",
+            ),
+            (
+                ["pipeline", "run", "report-smoke", "--device", "nope", "--store", "x.sqlite"],
+                "unknown device 'nope'; known: [",
+            ),
+            (
+                ["pipeline", "run", "smoke", "--store", "x.sqlite"],
+                "'smoke' is neither a built-in pipeline",
+            ),
         ],
     )
-    def test_one_error_line_before_any_run(self, argv, message, capsys):
+    def test_one_error_line_before_any_run(self, argv, message, capsys, tmp_path, monkeypatch):
         # every executor is built before the first run, so a rejected
-        # point stops the command before it prints a row
+        # point stops the command before it prints a row or opens a store
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--scale", "tiny"])
         assert str(exc.value.code).startswith(f"error: {message}")
         assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTuneCommand:

@@ -168,6 +168,9 @@ class TestColoringProperties:
             assert np.unique(out[mask]).size == 1
         used = np.unique(out[out != UNCOLORED])
         assert used.tolist() == list(range(used.size))
+        # order-preserving: each color becomes its rank among the used ones
+        ranks = np.searchsorted(np.unique(colors[colors != UNCOLORED]), colors)
+        assert np.array_equal(out, np.where(colors == UNCOLORED, UNCOLORED, ranks))
 
 
 # ---------------------------------------------------------------------------
