@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..coloring.base import UNCOLORED
+from ..coloring.base import UNCOLORED, _directed_conflicts, conflicting_edges
 from ..graphs.csr import CSRGraph
 from ..obs.events import CYCLES, WALL, TraceEvent
 
@@ -188,17 +188,13 @@ def validate_coloring(
         )
 
     rep.passed()
-    u, v = graph.edge_array()
-    bad = (arr[u] == arr[v]) & (arr[u] != UNCOLORED)
-    n_bad = int(bad.sum())
+    n_bad = _directed_conflicts(graph, arr) // 2
     if n_bad:
-        where = np.flatnonzero(bad)[:max_examples]
+        u, v = (side[:max_examples] for side in conflicting_edges(graph, arr))
         rep.error(
             "coloring.conflict",
             f"{n_bad} monochromatic edges",
-            edges=[
-                (int(u[i]), int(v[i]), int(arr[u[i]])) for i in where
-            ],
+            edges=[(int(a), int(b), int(arr[a])) for a, b in zip(u, v)],
         )
 
     used = np.unique(arr[arr != UNCOLORED])

@@ -31,10 +31,12 @@ def compact_colors(colors: np.ndarray) -> np.ndarray:
     """Remap used colors to a dense ``0..k-1`` range (order-preserving)."""
     out = np.asarray(colors, dtype=np.int64).copy()
     mask = out != UNCOLORED
-    # rank of each used color among the used ones: a running count of
-    # which colors occur, read at each color
-    used = np.bincount(out[mask]) > 0
-    out[mask] = (np.cumsum(used) - 1)[out[mask]]
+    used = out[mask]
+    if used.size and used.max() < out.size:
+        # rank among the used colors: a running count of those that occur
+        out[mask] = (np.cumsum(np.bincount(used) > 0) - 1)[used]
+    else:
+        out[mask] = np.unique(used, return_inverse=True)[1]
     return out
 
 

@@ -63,7 +63,9 @@ def speculative_rounds(
         # its lower-priority endpoint (the loser retries next round).
         same = (colors[edge_u] == colors[edge_v]) & (colors[edge_u] != UNCOLORED)
         cu, cv = edge_u[same], edge_v[same]
-        losers = np.unique(np.where(priorities[cu] < priorities[cv], cu, cv))
+        lost = np.zeros(graph.num_vertices, dtype=bool)
+        lost[np.where(priorities[cu] < priorities[cv], cu, cv)] = True
+        losers = np.flatnonzero(lost)
         colors[losers] = UNCOLORED
 
         idx = start_index + k

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..engine.backend import first_free_offsets
 from ..graphs.csr import CSRGraph
 from .base import UNCOLORED, ColoringResult
 from .kernels import GPUExecutor, SweepLog
@@ -31,33 +32,15 @@ def window_first_fit(
 ) -> np.ndarray:
     """Smallest free color in ``[base, base + window)`` per vertex, or −1.
 
-    Vectorized like :func:`repro.coloring._nbr.first_fit_colors` but over
-    a fixed-width window, which is exactly what a bounded forbidden
-    array computes.
+    The first free color at or above ``base`` from
+    :func:`~repro.engine.backend.first_free_offsets`, kept when it lies in
+    the window: exactly what a bounded forbidden array computes.
     """
     if window <= 0:
         raise ValueError("window must be positive")
     verts = np.asarray(vertices, dtype=np.int64).ravel()
-    if verts.size == 0:
-        return np.empty(0, dtype=np.int64)
-    cols = np.asarray(colors, dtype=np.int64)
-
-    blocked = np.zeros((verts.size, window), dtype=bool)
-    starts = graph.indptr[verts]
-    counts = graph.indptr[verts + 1] - starts
-    if counts.sum():
-        row = np.repeat(np.arange(verts.size), counts)
-        offsets = np.repeat(starts - np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-        entry = np.arange(int(counts.sum()), dtype=np.int64) + offsets
-        nbr_color = cols[graph.indices[entry]]
-        inwin = (nbr_color >= base) & (nbr_color < base + window)
-        blocked[row[inwin], nbr_color[inwin] - base] = True
-
-    free = ~blocked
-    has_free = free.any(axis=1)
-    first = free.argmax(axis=1)
-    out = np.where(has_free, base + first, -1).astype(np.int64)
-    return out
+    offsets = first_free_offsets(graph, np.asarray(colors, dtype=np.int64), verts, base)
+    return np.where(offsets < window, base + offsets, -1)
 
 
 def windowed_speculative_coloring(
@@ -102,12 +85,12 @@ def windowed_speculative_coloring(
 
         same = (colors[edge_u] == colors[edge_v]) & (colors[edge_u] != UNCOLORED)
         cu, cv = edge_u[same], edge_v[same]
-        losers = np.unique(np.where(priorities[cu] < priorities[cv], cu, cv))
-        colors[losers] = UNCOLORED
-        # next round's active: conflict losers + this round's deferrals
-        active = np.union1d(losers, active[~placeable])
+        colors[np.where(priorities[cu] < priorities[cv], cu, cv)] = UNCOLORED
+        # every uncolored vertex retries: the conflict losers (a conflict
+        # needs two ends placed this round) and the deferred
+        active = np.flatnonzero(colors == UNCOLORED)
 
-        log.sweep(k, num_active_before, placed.size - losers.size)
+        log.sweep(k, num_active_before, num_active_before - active.size)
         log.vertices(f"win_assign_it{k}", degrees, placed)
         log.vertices(f"win_detect_it{k}", degrees, placed)
         k += 1

@@ -16,7 +16,7 @@ import numpy as np
 if TYPE_CHECKING:
     from ..graphs.csr import CSRGraph
 
-__all__ = ["ArrayBackend", "NumpyBackend", "make_backend"]
+__all__ = ["ArrayBackend", "NumpyBackend", "TABLE_BUDGET", "first_free_offsets", "make_backend"]
 
 
 @runtime_checkable
@@ -89,47 +89,61 @@ class NumpyBackend:
 
         Vertex ``v`` of degree ``d`` gets a color in ``[0, d]``
         (pigeonhole guarantees one is free). Negative (uncolored)
-        neighbor entries block nothing. Fully vectorized over all
-        requested vertices.
+        neighbor entries block nothing. One forbidden-color table per
+        call, see :func:`first_free_offsets`.
         """
         cols = np.asarray(colors, dtype=np.int64)
         if cols.shape != (graph.num_vertices,):
             raise ValueError("colors must have one entry per vertex")
         verts = np.asarray(vertices, dtype=np.int64).ravel()
-        if verts.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if verts.min() < 0 or verts.max() >= graph.num_vertices:
+        if verts.size and (verts.min() < 0 or verts.max() >= graph.num_vertices):
             raise ValueError("vertex id out of range")
-
-        deg = graph.degrees[verts]
-        slots = deg + 1  # candidate colors 0..deg per vertex
-        slot_start = np.concatenate([[0], np.cumsum(slots)])
-        total = int(slot_start[-1])
-
-        # Gather the adjacency of the requested vertices.
-        starts = graph.indptr[verts]
-        counts = graph.indptr[verts + 1] - starts
-        row_of_entry = np.repeat(np.arange(verts.size), counts)
-        # flat positions of each neighbor entry in graph.indices
-        if counts.sum():
-            offsets = np.repeat(starts - np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-            entry_pos = np.arange(int(counts.sum()), dtype=np.int64) + offsets
-            nbr_color = cols[graph.indices[entry_pos]]
-        else:
-            nbr_color = np.empty(0, dtype=np.int64)
-
-        blocked = np.zeros(total, dtype=bool)
-        if nbr_color.size:
-            valid = (nbr_color >= 0) & (nbr_color <= deg[row_of_entry])
-            blocked[slot_start[row_of_entry[valid]] + nbr_color[valid]] = True
-
-        # mex per segment: smallest unblocked in-segment offset.
-        in_seg = np.arange(total, dtype=np.int64) - np.repeat(slot_start[:-1], slots)
-        candidate = np.where(blocked, np.iinfo(np.int64).max, in_seg)
-        return np.minimum.reduceat(candidate, slot_start[:-1]).astype(np.int64)
+        return first_free_offsets(graph, cols, verts)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
+
+
+#: Entries of one block of the forbidden-color table; bounds a call's
+#: table memory (4 MiB of bools) whatever its rows and colors.
+TABLE_BUDGET = 1 << 22
+
+
+def first_free_offsets(
+    graph: "CSRGraph", colors: np.ndarray, vertices: np.ndarray, base: int = 0
+) -> np.ndarray:
+    """Per vertex, ``c - base`` for the smallest ``c >= base`` no neighbor holds.
+
+    The rows' neighbor colors are gathered once and scattered into a
+    ``(rows, slots + 1)`` bool table; a row's answer is its first unset
+    column. ``slots = min(top + 1, max row degree)`` for ``top`` the
+    largest gathered offset, so the width never grows with the color
+    values, and rows run in blocks of at most :data:`TABLE_BUDGET` entries.
+    """
+    out = np.zeros(vertices.size, dtype=np.int64)
+    starts = graph.indptr[vertices]
+    counts = graph.indptr[vertices + 1] - starts
+    ends = np.cumsum(counts)
+    if ends.size == 0 or ends[-1] == 0:
+        return out
+    # flat positions of the rows' entries in graph.indices
+    entry = np.arange(ends[-1], dtype=np.int64) + np.repeat(starts - (ends - counts), counts)
+    nbr = colors[graph.indices[entry]] - base
+    # column ``slots`` is free in any row whose earlier columns are all set:
+    # no neighbor holds top + 1, and d neighbors leave one of d + 1 free
+    slots = min(int(nbr.max()) + 1, int(counts.max()))
+    if slots <= 0:
+        return out  # no neighbor holds a color at or above base
+    width = slots + 1
+    step = max(1, TABLE_BUDGET // width)
+    for lo in range(0, vertices.size, step):
+        hi = min(lo + step, vertices.size)
+        block = nbr[ends[lo] - counts[lo] : ends[hi - 1]]
+        flat = np.repeat(np.arange(hi - lo, dtype=np.int64) * width, counts[lo:hi]) + block
+        table = np.zeros((hi - lo) * width, dtype=bool)
+        table[flat[(block >= 0) & (block < slots)]] = True
+        out[lo:hi] = table.reshape(hi - lo, width).argmin(axis=1)
+    return out
 
 
 def make_backend(spec: str | ArrayBackend) -> ArrayBackend:

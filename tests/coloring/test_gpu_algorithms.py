@@ -1,5 +1,7 @@
 """Unit tests shared across the GPU coloring algorithms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.coloring.hybrid import hybrid_switch_coloring
 from repro.coloring.jones_plassmann import jones_plassmann_coloring
 from repro.coloring.kernels import ExecutionConfig, GPUExecutor
 from repro.coloring.maxmin import compact_colors, maxmin_coloring
+from repro.coloring.recolor import recolor_greedy
 from repro.coloring.sequential import greedy_first_fit
 from repro.coloring.speculative import speculative_coloring
 from repro.graphs import generators as gen
@@ -125,6 +128,28 @@ class TestMaxMinSpecifics:
     def test_compact_colors_helper(self):
         out = compact_colors(np.array([4, 4, 9, UNCOLORED, 0]))
         assert out.tolist() == [1, 1, 2, UNCOLORED, 0]
+
+    def test_compact_colors_huge_values(self):
+        # colors far above n rank by value, with equal colors equal ranks
+        out = compact_colors(np.array([2**40, 5, UNCOLORED, 2**40, 2**31, 0]))
+        assert out.tolist() == [3, 1, UNCOLORED, 3, 2, 0]
+        assert out.dtype == np.int64
+
+    def test_compact_colors_memory_bounded_by_n(self):
+        colors = np.array([0, 2**26])
+        tracemalloc.start()
+        try:
+            out = compact_colors(colors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.tolist() == [0, 1]
+        assert peak < 1 << 20
+
+    def test_recolor_accepts_huge_colors(self):
+        g = gen.path(2)
+        out = recolor_greedy(g, np.array([0, 2**40]), passes=1)
+        assert out.colors.tolist() == [0, 1]
 
 
 class TestJonesPlassmannSpecifics:
