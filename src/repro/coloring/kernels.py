@@ -37,6 +37,7 @@ Schedules (how work reaches compute units):
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
@@ -254,6 +255,7 @@ class SweepLog:
         self.executor = executor
         self.kernels: list[LoggedKernel] = []
         self._sweeps: list[tuple[int, int, int, int]] = []
+        self._gathered: tuple[object, object, np.ndarray | None] = (None, None, None)
 
     def sweep(self, index: int, active_vertices: int, newly_colored: int) -> None:
         """Open the record of one sweep; its kernels are logged next."""
@@ -262,8 +264,19 @@ class SweepLog:
         )
 
     def vertices(self, name: str, work: np.ndarray, ids: np.ndarray) -> None:
-        """Log a vertex kernel over ``ids``; vertex ``v``'s work is ``work[v]``."""
-        degrees = as_degrees(work[ids]) if self.executor is not None else None
+        """Log a vertex kernel over ``ids``; vertex ``v``'s work is ``work[v]``.
+
+        Host loops log an assign and a detect kernel over one active set,
+        by two calls in a row on the same ``work`` and ``ids`` arrays,
+        unchanged in between: the second reuses the first one's gathered
+        and validated degrees.
+        """
+        degrees = None
+        if self.executor is not None:
+            last_work, last_ids, degrees = self._gathered
+            if work is not last_work or ids is not last_ids:
+                degrees = as_degrees(work[ids])
+                self._gathered = (work, ids, degrees)
         self.kernels.append(LoggedKernel(name, degrees))
 
     def uniform(
@@ -596,6 +609,22 @@ class GPUExecutor:
 
     # -- persistent schedules -------------------------------------------
 
+    @functools.cached_property
+    def _stealing(self) -> StealingConfig:
+        """The stealing schedule's runtime config, ``config.stealing`` or one
+        from the device's overheads, with a worker per persistent workgroup;
+        derived, and validated, once per executor."""
+        cfg, dev = self.config, self.device
+        workers = dev.num_cus * cfg.persistent_groups_per_cu
+        steal_cfg = cfg.stealing or StealingConfig(
+            num_workers=workers,
+            steal_cycles=dev.steal_attempt_cycles,
+            pop_cycles=dev.atomic_cycles / 8.0,
+        )
+        if steal_cfg.num_workers != workers:
+            steal_cfg = replace(steal_cfg, num_workers=workers)
+        return steal_cfg
+
     def _persistent(self, plan: ExecutionPlan, name: str) -> IterationTiming:
         cfg, dev = self.config, self.device
         chunk_cyc = plan.chunk_cycles
@@ -610,15 +639,8 @@ class GPUExecutor:
                 chunk_cyc, workers, atomic_cycles=dev.atomic_cycles
             )
         else:  # stealing, from the contiguous slabs
-            steal_cfg = cfg.stealing or StealingConfig(
-                num_workers=workers,
-                steal_cycles=dev.steal_attempt_cycles,
-                pop_cycles=dev.atomic_cycles / 8.0,
-            )
-            if steal_cfg.num_workers != workers:
-                steal_cfg = replace(steal_cfg, num_workers=workers)
             res = simulate_work_stealing(
-                chunk_cyc, None, steal_cfg, tracer=self.context.tracer
+                chunk_cyc, None, self._stealing, tracer=self.context.tracer
             )
         # Roofline still applies: the chunks move the same bytes.
         bw = self.memory.bandwidth_floor_cycles(plan.traffic_elements)

@@ -126,8 +126,9 @@ def build_plans(
     the float sums whose order matters run per array, on its own slice:
     the pairwise ``sum`` of a traffic figure or a SIMD efficiency (a
     slice sums exactly like a standalone array) and the sequential
-    prefix sum of the chunk costs. Each plan is bit-identical to
-    deriving its array alone.
+    prefix sum of the chunk costs (two arrays to one complex sum, see
+    :func:`_chunk_sums`). Each plan is bit-identical to deriving its
+    array alone.
     """
     degs = list(degree_arrays)
     if config.sort_by_degree:
@@ -154,22 +155,37 @@ def _split(values: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
     return [values[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends, strict=True)]
 
 
-def _chunk_sums(item_costs: np.ndarray, per_chunk: int) -> np.ndarray:
-    """Costs of consecutive ``per_chunk``-item chunks.
+def _chunk_sums(segments: Sequence[np.ndarray], per_chunk: int) -> list[np.ndarray]:
+    """Costs of consecutive ``per_chunk``-item chunks of every segment.
 
-    Differences of the sequential prefix sum at the chunk boundaries:
-    the subtractions of ``chunk_costs(item_costs, chunk_ranges(n,
-    per_chunk))``, without building and checking the range array.
+    Differences of each segment's sequential prefix sum at its chunk
+    boundaries: the subtractions of ``chunk_costs(item_costs,
+    chunk_ranges(n, per_chunk))``, without building and checking the range
+    array. The prefix sums run two segments to one complex128
+    ``np.add.accumulate``, the largest with the next largest: a complex
+    addition is two independent IEEE float64 additions, one per lane, so
+    each lane is bit-identical to that segment's own ``np.cumsum``. The
+    shorter segment of a pair is zero-padded after its own end.
     """
-    n = item_costs.size
-    prefix = np.empty(n + 1)
-    prefix[0] = 0.0
-    np.cumsum(item_costs, out=prefix[1:])
-    if per_chunk == 1:
-        return prefix[1:] - prefix[:-1]
-    bounds = np.arange(0, n + per_chunk, per_chunk)
-    bounds[-1] = n
-    return prefix[bounds[1:]] - prefix[bounds[:-1]]
+    out: list[np.ndarray] = [np.empty(0)] * len(segments)
+    by_size = sorted(range(len(segments)), key=lambda s: -segments[s].size)
+    for pair in (by_size[i : i + 2] for i in range(0, len(by_size), 2)):
+        n = segments[pair[0]].size
+        z = np.zeros(n + 1, dtype=np.complex128)
+        lanes = z.view(np.float64).reshape(n + 1, 2)
+        for lane, s in enumerate(pair):
+            lanes[1 : segments[s].size + 1, lane] = segments[s]
+        np.add.accumulate(z[1:], out=z[1:])  # from the first item, as np.cumsum
+        for lane, s in enumerate(pair):
+            size = segments[s].size
+            prefix = lanes[: size + 1, lane]
+            if per_chunk == 1:
+                out[s] = prefix[1:] - prefix[:-1]
+                continue
+            bounds = np.arange(0, size + per_chunk, per_chunk)
+            bounds[-1] = size
+            out[s] = prefix[bounds[1:]] - prefix[bounds[:-1]]
+    return out
 
 
 def _split_by_threshold(
@@ -293,8 +309,8 @@ def _persistent_fields(
         tasks = _split(costs.coop_stride_cycles(strides, wg), sizes)
         effs = _coop_efficiencies(flat, sizes, wg, strides)
         return [
-            {"chunk_cycles": _chunk_sums(t, per_chunk), "simd_efficiency": e}
-            for t, e in zip(tasks, effs, strict=True)
+            {"chunk_cycles": c, "simd_efficiency": e}
+            for c, e in zip(_chunk_sums(tasks, per_chunk), effs, strict=True)
         ]
     if config.mapping == "thread":
         lane, n_low, coop = costs.thread_vertex_cycles(flat), sizes, flat[:0]
@@ -306,10 +322,10 @@ def _persistent_fields(
     rounds = segmented_wavefront_costs(lane, n_low, wg)
     peaks = rounds if wg == width else segmented_wavefront_costs(lane, n_low, width)
     effs = _lane_efficiencies(flat, sizes, lane, n_low, peaks, width, wg)
-    per_chunk = config.chunk_size // wg
+    sums = _chunk_sums(_split(*rounds), config.chunk_size // wg)
     out = []
-    for rd, hi, eff in zip(_split(*rounds), _split(coop, sizes - n_low), effs, strict=True):
-        parts = [_chunk_sums(rd, per_chunk)] if rd.size else []
+    for rd, hi, eff in zip(sums, _split(coop, sizes - n_low), effs, strict=True):
+        parts = [rd] if rd.size else []
         if hi.size:
             parts.append(hi)
         out.append(

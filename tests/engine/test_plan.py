@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.engine.plan as plan_module
 from repro.coloring.kernels import MAPPINGS, SCHEDULES, CostModel, ExecutionConfig
 from repro.engine.context import RunContext
 from repro.engine.plan import _chunk_sums, as_degrees, build_plan, build_plans
@@ -106,7 +107,7 @@ def test_chunk_sums_match_chunk_costs(values, per_chunk, wide):
     costs = np.array(values)
     if wide:
         costs = (costs * 2**30).astype(np.int64) + 2**53 + 1
-    got = _chunk_sums(costs, per_chunk)
+    got = _chunk_sums([costs], per_chunk)[0]
     want = chunk_costs(costs, chunk_ranges(costs.size, per_chunk))
     assert got.dtype == want.dtype == np.float64
     assert got.tobytes() == want.tobytes()
@@ -116,7 +117,7 @@ def test_chunk_sums_edge_sizes():
     costs = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
     for n in range(costs.size + 1):
         for per_chunk in (1, 2, 3, n or 1, n + 1):
-            got = _chunk_sums(costs[:n], per_chunk)
+            got = _chunk_sums([costs[:n]], per_chunk)[0]
             want = chunk_costs(costs[:n], chunk_ranges(n, per_chunk))
             assert got.tobytes() == want.tobytes(), (n, per_chunk)
 
@@ -151,6 +152,76 @@ def degree_windows(draw):
             deg = rng.integers(0, 2**40, size=size)
         arrays.append(as_degrees(deg))
     return arrays
+
+
+def _reference_chunk_sums(item_costs: np.ndarray, per_chunk: int) -> np.ndarray:
+    """The single-array ``_chunk_sums`` before segments were paired into the
+    lanes of one complex prefix sum: one float64 ``np.cumsum`` per segment."""
+    n = item_costs.size
+    prefix = np.empty(n + 1)
+    prefix[0] = 0.0
+    np.cumsum(item_costs, out=prefix[1:])
+    if per_chunk == 1:
+        return prefix[1:] - prefix[:-1]
+    bounds = np.arange(0, n + per_chunk, per_chunk)
+    bounds[-1] = n
+    return prefix[bounds[1:]] - prefix[bounds[:-1]]
+
+
+def _assert_paired_sums_match_reference(segments, per_chunk):
+    got = _chunk_sums(segments, per_chunk)
+    assert len(got) == len(segments)
+    for seg, g in zip(segments, got, strict=True):
+        want = _reference_chunk_sums(seg, per_chunk)
+        assert (g.dtype, g.shape, g.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.floats(0.0, 1e12, allow_nan=False, allow_subnormal=True), max_size=120),
+        max_size=7,
+    ),
+    st.sampled_from([1, 2, 3, 8, 64]),
+)
+def test_paired_chunk_sums_match_the_single_array_reference(values, per_chunk):
+    # any number of segments (odd counts leave one without a partner), of
+    # unequal sizes, empty ones included
+    _assert_paired_sums_match_reference([np.array(v, dtype=float) for v in values], per_chunk)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 4])
+@pytest.mark.parametrize(
+    "sizes",
+    [(), (0,), (5,), (0, 0, 0), (7, 0, 3), (1000, 1, 999, 2, 0), (3, 3, 3), (17, 900, 17)],
+)
+def test_paired_chunk_sums_edge_windows(sizes, per_chunk):
+    rng = np.random.default_rng(sum(sizes))
+    # finite items near 1e307: a lane's sums overflow to inf on their own
+    segments = [rng.random(n) * 1e307 for n in sizes]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_paired_sums_match_reference(segments, per_chunk)
+
+
+@pytest.mark.parametrize("mapping", MAPPINGS)
+@settings(max_examples=25, deadline=None)
+@given(window=degree_windows(), small=st.booleans())
+def test_paired_chunk_sums_leave_persistent_plans_unchanged(mapping, window, small):
+    device, wg = (SMALL_TEST_DEVICE, 8) if small else (DEVICE, 256)
+    config = ExecutionConfig(
+        mapping=mapping, schedule="stealing", workgroup_size=wg, chunk_size=2 * wg
+    )
+    costs = CostModel(device, MemoryModel(device))
+    paired = build_plans(window, config, costs, device)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            plan_module,
+            "_chunk_sums",
+            lambda segments, k: [_reference_chunk_sums(t, k) for t in segments],
+        )
+        single = build_plans(window, config, costs, device)
+    for a, b in zip(paired, single, strict=True):
+        assert _plan_fields(a) == _plan_fields(b)
 
 
 @pytest.mark.parametrize("sort_by_degree", [False, True])

@@ -10,20 +10,29 @@ benchmark identity hashes through ``repr``) and the same sequence of
 traced steal instants.
 
 The first property draws tie-heavy and zero costs (equal times are
-ordered by their ancestor time chains), slab, random, all-on-one and
-fewer-chunks-than-workers owners, zero and positive overheads. The
-second draws long slab runs, where victims are robbed deep into their
-timelines and thieves are robbed in turn. Two replays feed the
+ordered by their ancestor time chains), and extremes (-0.0, subnormal
+costs, and costs near 1e307 whose running sums overflow to inf), slab,
+random, all-on-one and fewer-chunks-than-workers owners, zero and
+positive overheads. The second draws long slab runs on odd and even
+worker counts (the simulator runs two workers' timelines per complex
+lane pair, so an odd count leaves one lane padded), where victims are
+robbed deep into their timelines and thieves are robbed in turn; long
+rows of one cost open every worker in lockstep. Two replays feed the
 simulator the chunk vectors of a small-scale suite run and of the
 standard-scale powerlaw run the benchmark times; the executor leaves the
 owner out (its contiguous slabs), and the event loop gets the slab owner
-spelled out. A last property checks that leaving the owner out is the
-same run as passing the slab owner.
+spelled out. Every replayed call must also reproduce the digest of its
+result recorded in ``tests/data/stealing_calls.json`` (see
+``benchmarks/bench_stealing_replay.py``). A last property checks that
+leaving the owner out is the same run as passing the slab owner.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,7 +196,7 @@ def workloads(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     owners = draw(st.sampled_from(["slab", "random", "one", "sparse"]))
     n = draw(st.integers(0, w - 1)) if owners == "sparse" else draw(st.integers(0, 160))
-    costs = _costs(draw(st.sampled_from(["ties", "zeros", "pareto"])), rng, n)
+    costs = _costs(draw(st.sampled_from(["ties", "zeros", "pareto", "extremes"])), rng, n)
     if owners == "slab":
         owner = np.arange(n) // max(1, -(-n // w))
     elif owners == "random":
@@ -208,6 +217,10 @@ def workloads(draw):
     return costs, owner.astype(np.int64), cfg
 
 
+OVERFLOW = "ignore:overflow encountered:RuntimeWarning"
+
+
+@pytest.mark.filterwarnings(OVERFLOW)
 @settings(max_examples=300, deadline=None)
 @given(workloads())
 def test_matches_event_loop(case):
@@ -219,16 +232,18 @@ def _costs(kind: str, rng: np.random.Generator, n: int, scale: float = 1.0) -> n
         return rng.choice([0.0, 1.0, 2.0, 3.0, 8.0], size=n) * scale
     if kind == "zeros":
         return np.zeros(n)
+    if kind == "extremes":  # the scale would overflow the costs themselves
+        return rng.choice([-0.0, 0.0, 5e-324, 2e-310, 1.0, 1e307, 8e307], size=n)
     return rng.pareto(1.2, size=n) * 100.0 + 1.0
 
 
 @st.composite
 def long_slab_runs(draw):
-    """The executor's contiguous slabs: up to 3,000 chunks on 2, 28 or 64 workers."""
-    w = draw(st.sampled_from([2, 28, 64]))
+    """The executor's contiguous slabs: up to 3,000 chunks on 1 to 64 workers."""
+    w = draw(st.sampled_from([1, 2, 3, 27, 28, 64]))
     n = draw(st.integers(1, 3000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    costs = _costs(draw(st.sampled_from(["ties", "zeros", "pareto"])), rng, n, 100.0)
+    costs = _costs(draw(st.sampled_from(["ties", "zeros", "pareto", "extremes"])), rng, n, 100.0)
     cfg = StealingConfig(
         num_workers=w,
         pop_cycles=draw(st.sampled_from([0.0, 8.0])),
@@ -238,10 +253,26 @@ def long_slab_runs(draw):
     return costs, np.arange(n) // -(-n // w), cfg
 
 
+@pytest.mark.filterwarnings(OVERFLOW)
 @settings(max_examples=40, deadline=None)
 @given(long_slab_runs())
 def test_matches_event_loop_on_long_slab_runs(case):
     assert_identical(*case)
+
+
+@pytest.mark.parametrize("policy", ["random", "richest"])
+@pytest.mark.parametrize("w", [3, 28])
+@pytest.mark.parametrize("odd_one", [None, 0, -1, 400])
+def test_matches_event_loop_on_long_lockstep_rows(w, odd_one, policy):
+    # slabs of 700 chunks of one cost: every worker runs dry at one time,
+    # so each tie among fresh roots is settled by a whole-row lockstep
+    # check; a chunk of another cost (first, last or mid-slab in chunk
+    # order) cuts some rows' runs short
+    costs = np.full(700 * w, 5.0)
+    if odd_one is not None:
+        costs[odd_one :: 700] = 7.0
+    cfg = StealingConfig(num_workers=w, pop_cycles=8.0, steal_policy=policy)
+    assert_identical(costs, slab_owner(costs.size, w), cfg)
 
 
 def test_runaway_guard_raises_instead_of_truncating(monkeypatch):
@@ -283,6 +314,31 @@ def test_tied_pending_times_follow_ancestor_chains(costs, owner, executed):
     )
     res = assert_identical(np.array(costs, dtype=float), np.array(owner), cfg)
     assert res.chunks_executed.tolist() == executed
+
+
+@pytest.mark.filterwarnings(OVERFLOW)
+@pytest.mark.parametrize(
+    "costs, owner, steal, pop, max_failed, seed",
+    [
+        # running sums overflow to inf, and the events there fire at inf in
+        # scheduling order like any tie; a worker that gave up before never
+        # fires again, at inf or anywhere else
+        ([0.0, 1.7e308, 1.7e308, 1.7e308, 1.7e308, 0.0], [0, 0, 2, 0, 1, 2], 0.0, 8.0, 2, 41),
+        ([1.7e308, 8e307, 8e307, 1.7e308, 1.7e308, 8e307, 1.7e308], [0, 0, 0, 2, 0, 1, 0],
+         400.0, 8.0, 1, 8),
+        ([1.7e308, 8e307, 8e307, 8e307, 1.7e308], [0, 1, 1, 0, 0], 1.0, 0.0, 1, 4),
+    ],
+)
+def test_overflowed_times_fire_at_inf(costs, owner, steal, pop, max_failed, seed):
+    cfg = StealingConfig(
+        num_workers=3,
+        steal_cycles=steal,
+        pop_cycles=pop,
+        max_failed_attempts=max_failed,
+        seed=seed,
+    )
+    res = assert_identical(np.array(costs), np.array(owner), cfg)
+    assert res.makespan_cycles == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +405,40 @@ def test_matches_event_loop_on_powerlaw_sweeps(powerlaw_calls):
         assert assert_identical(costs, owner, cfg).steal_attempts > 0
 
 
+def call_digest(res: StealingResult) -> str:
+    """The first 16 hex digits of the sha256 of one result (as the replay
+    benchmark computes it)."""
+    h = hashlib.sha256(repr(res.makespan_cycles).encode())
+    for arr in (res.busy_cycles, res.overhead_cycles, res.chunks_executed):
+        h.update(arr.dtype.str.encode())
+        h.update(arr.tobytes())
+    h.update(f"{res.steal_attempts},{res.steals_succeeded},{res.chunks_migrated}".encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("run", ["powerlaw_standard", "suite_small"])
+def test_every_call_reproduces_its_recorded_digest(run, request):
+    # the digests were recorded from the simulator before its timelines
+    # ran in complex lanes; the chunk costs come from the plans, so this
+    # also pins the paired chunk sums
+    recorded = json.loads(
+        (Path(__file__).parents[1] / "data" / "stealing_calls.json").read_text()
+    )[run]
+    calls = request.getfixturevalue(
+        "powerlaw_calls" if run == "powerlaw_standard" else "captured_calls"
+    )
+    got = [call_digest(simulate_work_stealing(c, None, cfg)) for c, _, cfg in calls]
+    assert len(got) == len(recorded)
+    wrong = [i for i, (a, b) in enumerate(zip(got, recorded, strict=True)) if a != b]
+    assert not wrong, f"{len(wrong)} calls differ, first at call {wrong[0]}"
+
+
 # ---------------------------------------------------------------------------
 # property: the omitted owner is the contiguous slabs
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.filterwarnings(OVERFLOW)
 @settings(max_examples=150, deadline=None)
 @given(long_slab_runs(), st.integers(0, 40))
 def test_omitted_owner_is_the_slab_owner(case, short):
