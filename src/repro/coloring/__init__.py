@@ -12,13 +12,6 @@ from .base import (
     num_colors_used,
     validate_coloring,
 )
-from .distance2 import (
-    greedy_distance2,
-    is_valid_distance2,
-    speculative_distance2,
-    two_hop_work,
-    validate_distance2,
-)
 from .edge_centric import edge_centric_maxmin, edge_kernel_cycles_per_item
 from .hybrid import hybrid_switch_coloring
 from .incremental import IncrementalColoring
@@ -50,7 +43,6 @@ from .sequential import (
     welsh_powell,
 )
 from .speculative import speculative_coloring, speculative_rounds
-from .windowed import window_first_fit, windowed_speculative_coloring
 
 __all__ = [
     "first_fit_colors",
@@ -68,11 +60,6 @@ __all__ = [
     "validate_coloring",
     "edge_centric_maxmin",
     "edge_kernel_cycles_per_item",
-    "greedy_distance2",
-    "is_valid_distance2",
-    "speculative_distance2",
-    "two_hop_work",
-    "validate_distance2",
     "hybrid_switch_coloring",
     "IncrementalColoring",
     "column_intersection_coloring",
@@ -104,6 +91,4 @@ __all__ = [
     "welsh_powell",
     "speculative_coloring",
     "speculative_rounds",
-    "window_first_fit",
-    "windowed_speculative_coloring",
 ]

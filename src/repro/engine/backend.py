@@ -5,6 +5,10 @@ them) call the mex kernel through ``RunContext.backend``, an
 :class:`ArrayBackend`. There is one implementation, :class:`NumpyBackend`;
 the protocol exists so a test or a profiler can substitute a counting
 or timing backend without touching any algorithm.
+
+The mex kernel, ``NumpyBackend.first_fit_colors``, is the forbidden-color
+table of Chen et al.: one bool table per call, blocked by
+:data:`TABLE_BUDGET`.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 if TYPE_CHECKING:
     from ..graphs.csr import CSRGraph
 
-__all__ = ["ArrayBackend", "NumpyBackend", "TABLE_BUDGET", "first_free_offsets", "make_backend"]
+__all__ = ["ArrayBackend", "NumpyBackend", "TABLE_BUDGET", "make_backend"]
 
 
 @runtime_checkable
@@ -45,6 +49,11 @@ class ArrayBackend(Protocol):
     def first_fit_colors(
         self, graph: "CSRGraph", colors: np.ndarray, vertices: np.ndarray
     ) -> np.ndarray: ...
+
+
+#: Entries of one block of the forbidden-color table; bounds a call's
+#: table memory (4 MiB of bools) whatever its rows and colors.
+TABLE_BUDGET = 1 << 22
 
 
 class NumpyBackend:
@@ -89,8 +98,14 @@ class NumpyBackend:
 
         Vertex ``v`` of degree ``d`` gets a color in ``[0, d]``
         (pigeonhole guarantees one is free). Negative (uncolored)
-        neighbor entries block nothing. One forbidden-color table per
-        call, see :func:`first_free_offsets`.
+        neighbor entries block nothing.
+
+        The rows' neighbor colors are gathered once and scattered into a
+        ``(rows, slots + 1)`` bool table; a row's answer is its first
+        unset column. ``slots = min(top + 1, max row degree)`` for
+        ``top`` the largest gathered color, so the width never grows
+        with the color values, and rows run in blocks of at most
+        :data:`TABLE_BUDGET` entries.
         """
         cols = np.asarray(colors, dtype=np.int64)
         if cols.shape != (graph.num_vertices,):
@@ -98,52 +113,33 @@ class NumpyBackend:
         verts = np.asarray(vertices, dtype=np.int64).ravel()
         if verts.size and (verts.min() < 0 or verts.max() >= graph.num_vertices):
             raise ValueError("vertex id out of range")
-        return first_free_offsets(graph, cols, verts)
+        out = np.zeros(verts.size, dtype=np.int64)
+        starts = graph.indptr[verts]
+        counts = graph.indptr[verts + 1] - starts
+        ends = np.cumsum(counts)
+        if ends.size == 0 or ends[-1] == 0:
+            return out
+        # flat positions of the rows' entries in graph.indices
+        entry = np.arange(ends[-1], dtype=np.int64) + np.repeat(starts - (ends - counts), counts)
+        nbr = cols[graph.indices[entry]]
+        # column ``slots`` is free in any row whose earlier columns are all
+        # set: no neighbor holds top + 1, and d neighbors leave one of d + 1
+        slots = min(int(nbr.max()) + 1, int(counts.max()))
+        if slots <= 0:
+            return out  # no neighbor is colored
+        width = slots + 1
+        step = max(1, TABLE_BUDGET // width)
+        for lo in range(0, verts.size, step):
+            hi = min(lo + step, verts.size)
+            block = nbr[ends[lo] - counts[lo] : ends[hi - 1]]
+            flat = np.repeat(np.arange(hi - lo, dtype=np.int64) * width, counts[lo:hi]) + block
+            table = np.zeros((hi - lo) * width, dtype=bool)
+            table[flat[(block >= 0) & (block < slots)]] = True
+            out[lo:hi] = table.reshape(hi - lo, width).argmin(axis=1)
+        return out
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
-
-
-#: Entries of one block of the forbidden-color table; bounds a call's
-#: table memory (4 MiB of bools) whatever its rows and colors.
-TABLE_BUDGET = 1 << 22
-
-
-def first_free_offsets(
-    graph: "CSRGraph", colors: np.ndarray, vertices: np.ndarray, base: int = 0
-) -> np.ndarray:
-    """Per vertex, ``c - base`` for the smallest ``c >= base`` no neighbor holds.
-
-    The rows' neighbor colors are gathered once and scattered into a
-    ``(rows, slots + 1)`` bool table; a row's answer is its first unset
-    column. ``slots = min(top + 1, max row degree)`` for ``top`` the
-    largest gathered offset, so the width never grows with the color
-    values, and rows run in blocks of at most :data:`TABLE_BUDGET` entries.
-    """
-    out = np.zeros(vertices.size, dtype=np.int64)
-    starts = graph.indptr[vertices]
-    counts = graph.indptr[vertices + 1] - starts
-    ends = np.cumsum(counts)
-    if ends.size == 0 or ends[-1] == 0:
-        return out
-    # flat positions of the rows' entries in graph.indices
-    entry = np.arange(ends[-1], dtype=np.int64) + np.repeat(starts - (ends - counts), counts)
-    nbr = colors[graph.indices[entry]] - base
-    # column ``slots`` is free in any row whose earlier columns are all set:
-    # no neighbor holds top + 1, and d neighbors leave one of d + 1 free
-    slots = min(int(nbr.max()) + 1, int(counts.max()))
-    if slots <= 0:
-        return out  # no neighbor holds a color at or above base
-    width = slots + 1
-    step = max(1, TABLE_BUDGET // width)
-    for lo in range(0, vertices.size, step):
-        hi = min(lo + step, vertices.size)
-        block = nbr[ends[lo] - counts[lo] : ends[hi - 1]]
-        flat = np.repeat(np.arange(hi - lo, dtype=np.int64) * width, counts[lo:hi]) + block
-        table = np.zeros((hi - lo) * width, dtype=bool)
-        table[flat[(block >= 0) & (block < slots)]] = True
-        out[lo:hi] = table.reshape(hi - lo, width).argmin(axis=1)
-    return out
 
 
 def make_backend(spec: str | ArrayBackend) -> ArrayBackend:

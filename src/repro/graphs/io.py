@@ -15,8 +15,9 @@ All readers return :class:`~repro.graphs.csr.CSRGraph` (undirected,
 deduplicated, self-loops dropped); all writers round-trip with the
 matching reader. The DIMACS, METIS and edge-list readers raise
 :class:`GraphFormatError` naming ``path:line`` for input they cannot
-parse; the Matrix Market reader raises it for a size line that would
-size an allocation the file cannot fill.
+parse, a vertex count outside ``[0, int32 max]`` or a vertex id outside
+the graph; the Matrix Market reader raises it for a size line that
+would size an allocation the file cannot fill.
 """
 
 from __future__ import annotations
@@ -64,6 +65,22 @@ def _ints(path: str | os.PathLike, line: int, tokens: list[str]) -> list[int]:
         except ValueError:
             raise GraphFormatError(path, line, f"expected an integer, got {tok!r}") from None
     return values
+
+
+def _ids(path: str | os.PathLike, line: int, tokens: list[str], lo: int, hi: int) -> list[int]:
+    """``tokens`` as vertex ids in ``[lo, hi]``; a :class:`GraphFormatError` names any outside."""
+    values = _ints(path, line, tokens)
+    for value in values:
+        if not lo <= value <= hi:
+            raise GraphFormatError(path, line, f"vertex id {value} outside [{lo}, {hi}]")
+    return values
+
+
+def _vertex_count(path: str | os.PathLike, line: int, n: int) -> int:
+    """A header's vertex count ``n``, refused outside ``[0, int32 max]``."""
+    if not 0 <= n <= _INT32_MAX:
+        raise GraphFormatError(path, line, f"vertex count {n} outside [0, {_INT32_MAX}]")
+    return n
 
 
 def _open_text(path: str | os.PathLike, mode: str = "rt") -> IO[str]:
@@ -162,11 +179,15 @@ def read_dimacs_coloring(path: str | os.PathLike) -> CSRGraph:
             if parts[0] == "p":
                 if len(parts) < 4 or parts[1] not in ("edge", "edges", "col"):
                     raise GraphFormatError(path, lineno, f"malformed problem line: {line!r}")
-                (n,) = _ints(path, lineno, parts[2:3])
+                if n >= 0:
+                    raise GraphFormatError(path, lineno, "second 'p edge' problem line")
+                n = _vertex_count(path, lineno, *_ints(path, lineno, parts[2:3]))
             elif parts[0] == "e":
                 if len(parts) < 3:
                     raise GraphFormatError(path, lineno, f"malformed edge line: {line!r}")
-                u, v = _ints(path, lineno, parts[1:3])
+                if n < 0:
+                    raise GraphFormatError(path, lineno, "edge line before the problem line")
+                u, v = _ids(path, lineno, parts[1:3], 1, n)
                 us.append(u - 1)
                 vs.append(v - 1)
     if n < 0:
@@ -203,7 +224,7 @@ def read_metis(path: str | os.PathLike) -> CSRGraph:
         head = _ints(path, lineno, header.split())
         if not head:
             raise GraphFormatError(path, lineno, f"malformed header line: {header!r}")
-        n = head[0]
+        n = _vertex_count(path, lineno, head[0])
         if len(head) >= 3 and head[2] != 0:
             raise GraphFormatError(path, lineno, "weighted METIS graphs are not supported")
         us: list[int] = []
@@ -211,7 +232,7 @@ def read_metis(path: str | os.PathLike) -> CSRGraph:
         for u, (lineno, line) in enumerate(lines):
             if u >= n:
                 raise GraphFormatError(path, lineno, "more adjacency lines than vertices")
-            for w in _ints(path, lineno, line.split()):
+            for w in _ids(path, lineno, line.split(), 1, n):
                 us.append(u)
                 vs.append(w - 1)
     return CSRGraph.from_edges(us, vs, num_vertices=n)
@@ -255,14 +276,17 @@ def read_edge_list(path: str | os.PathLike, *, num_vertices: int | None = None) 
                     num_vertices is None
                     and len(parts) >= 2
                     and parts[1].startswith("vertices")
-                    and parts[0].isdigit()
+                    and parts[0].isdecimal()
                 ):
-                    num_vertices = int(parts[0])
+                    num_vertices = _vertex_count(path, lineno, int(parts[0]))
+                    if max(us + vs, default=-1) >= num_vertices:
+                        raise GraphFormatError(path, lineno, "an earlier edge names a larger id")
                 continue
             parts = line.split()
             if len(parts) < 2:
                 raise GraphFormatError(path, lineno, f"malformed edge line: {line!r}")
-            u, v = _ints(path, lineno, parts[:2])
+            hi = _INT32_MAX - 1 if num_vertices is None else num_vertices - 1
+            u, v = _ids(path, lineno, parts[:2], 0, hi)
             us.append(u)
             vs.append(v)
     return CSRGraph.from_edges(us, vs, num_vertices=num_vertices)

@@ -30,7 +30,6 @@ __all__ = [
     "rcm_order",
     "degree_order",
     "random_order",
-    "apply_order",
     "bandwidth",
 ]
 
@@ -126,11 +125,6 @@ def random_order(graph: CSRGraph, *, seed: int = 0) -> np.ndarray:
     """Uniform random relabeling (destroys any locality)."""
     rng = np.random.default_rng(seed)
     return rng.permutation(graph.num_vertices).astype(np.int64)
-
-
-def apply_order(graph: CSRGraph, perm: np.ndarray) -> CSRGraph:
-    """Relabel ``graph`` by ``perm`` (alias of :meth:`CSRGraph.permute`)."""
-    return graph.permute(perm)
 
 
 def bandwidth(graph: CSRGraph) -> int:

@@ -12,9 +12,8 @@ Every comparison is exact: values, float bits and ``type()``, both
 counter sinks and the traced event sequence.
 
 The host loops that log their sweeps are checked against copies of the
-loops that timed each sweep as it ran (speculative rounds, distance-2
-and windowed here; max-min, edge-centric and jp in
-``test_live_edges_equivalence.py``): same colors, same
+loops that timed each sweep as it ran (speculative rounds here;
+max-min, edge-centric and jp in ``test_live_edges_equivalence.py``): same colors, same
 ``IterationRecord``s field by field, same ``repr`` of the total.
 """
 
@@ -33,12 +32,6 @@ import repro.coloring.partitioned as partitioned_mod
 import repro.coloring.speculative as speculative_mod
 import repro.loadbalance.workstealing as workstealing
 from repro.coloring.base import UNCOLORED, IterationRecord
-from repro.coloring.distance2 import (
-    _d2_first_fit,
-    _distance2_conflicts,
-    speculative_distance2,
-    two_hop_work,
-)
 from repro.coloring.kernels import (
     MAPPINGS,
     SCHEDULES,
@@ -48,7 +41,6 @@ from repro.coloring.kernels import (
     LoggedKernel,
     uniform_kernel,
 )
-from repro.coloring.windowed import window_first_fit, windowed_speculative_coloring
 from repro.engine.context import RunContext, resolve_context
 from repro.engine.plan import ExecutionPlan, as_degrees, coop_efficiency
 from repro.gpusim.device import RADEON_HD_7950, SMALL_TEST_DEVICE
@@ -492,18 +484,6 @@ def test_runs_match_per_sweep_timing(dataset):
         assert_runs_match(
             lambda ex: run_gpu_coloring(graph, algorithm, ex, seed=5, context=ex.context)
         )
-    assert_runs_match(lambda ex: windowed_speculative_coloring(graph, ex, seed=5, window=4))
-
-
-#: tiny suite graphs on which distance-2 runs fast (its first fit is a
-#: Python loop over two-hop neighborhoods)
-D2_DATASETS = ("powerlaw", "road", "grid2d", "random", "geometric", "smallworld", "regular")
-
-
-@pytest.mark.parametrize("dataset", D2_DATASETS)
-def test_distance2_runs_match_per_sweep_timing(dataset):
-    graph = suite.build(dataset, "tiny")
-    assert_runs_match(lambda ex: speculative_distance2(graph, ex, seed=5))
 
 
 def test_served_stealing_runs_take_the_shortcut(monkeypatch):
@@ -657,82 +637,6 @@ def reference_speculative_rounds(
     return iterations, total_cycles
 
 
-def reference_distance2(graph, executor, *, seed):
-    n = graph.num_vertices
-    colors = np.full(n, UNCOLORED, dtype=np.int64)
-    priorities = np.random.default_rng(seed).permutation(n)
-    work = two_hop_work(graph)
-    iterations, total_cycles = [], 0.0
-    active = np.arange(n, dtype=np.int64)
-    k = 0
-    while active.size:
-        snapshot = colors.copy()
-        for v in active:
-            colors[int(v)] = _d2_first_fit(graph, snapshot, int(v))
-        losers = np.intersect1d(_distance2_conflicts(graph, colors, priorities), active)
-        colors[losers] = UNCOLORED
-        names = (f"d2_assign_it{k}", f"d2_detect_it{k}")
-        t1 = executor.time_iteration(work[active], name=names[0])
-        t2 = executor.time_iteration(work[active], name=names[1])
-        cycles = t1.cycles + t2.cycles
-        total_cycles += cycles
-        iterations.append(
-            IterationRecord(
-                index=k,
-                active_vertices=int(active.size),
-                newly_colored=int(active.size - losers.size),
-                cycles=cycles,
-                simd_efficiency=t1.simd_efficiency,
-                kernels=names,
-            )
-        )
-        active = losers
-        k += 1
-    return colors, iterations, total_cycles
-
-
-def reference_windowed(graph, executor, *, window, seed):
-    n = graph.num_vertices
-    colors = np.full(n, UNCOLORED, dtype=np.int64)
-    priorities = np.random.default_rng(seed).permutation(n)
-    degrees = graph.degrees
-    edge_u, edge_v = graph.edge_array()
-    iterations, total_cycles = [], 0.0
-    active = np.arange(n, dtype=np.int64)
-    base = k = 0
-    while active.size:
-        num_active_before = int(active.size)
-        proposals = window_first_fit(graph, colors, active, base, window)
-        placeable = proposals >= 0
-        if not placeable.any():
-            base += window
-            continue
-        placed = active[placeable]
-        colors[placed] = proposals[placeable]
-        same = (colors[edge_u] == colors[edge_v]) & (colors[edge_u] != UNCOLORED)
-        cu, cv = edge_u[same], edge_v[same]
-        losers = np.unique(np.where(priorities[cu] < priorities[cv], cu, cv))
-        colors[losers] = UNCOLORED
-        active = np.union1d(losers, active[~placeable])
-        names = (f"win_assign_it{k}", f"win_detect_it{k}")
-        t1 = executor.time_iteration(degrees[placed], name=names[0])
-        t2 = executor.time_iteration(degrees[placed], name=names[1])
-        cycles = t1.cycles + t2.cycles
-        total_cycles += cycles
-        iterations.append(
-            IterationRecord(
-                index=k,
-                active_vertices=num_active_before,
-                newly_colored=int(placed.size - losers.size),
-                cycles=cycles,
-                simd_efficiency=t1.simd_efficiency,
-                kernels=names,
-            )
-        )
-        k += 1
-    return colors, iterations, total_cycles
-
-
 def fresh_executor(config):
     return RunContext().executor(config)
 
@@ -751,27 +655,3 @@ def test_speculative_loops_match_per_sweep_loop(dataset):
                 old = run_gpu_coloring(graph, algorithm, fresh_executor(config), seed=5)
             assert_same_result(new, old)
 
-
-@pytest.mark.parametrize("dataset", D2_DATASETS)
-def test_distance2_loop_matches_per_sweep_loop(dataset):
-    graph = suite.build(dataset, "tiny")
-    for config in served_configs():
-        new = speculative_distance2(graph, fresh_executor(config), seed=5)
-        colors, records, total = reference_distance2(graph, fresh_executor(config), seed=5)
-        assert np.array_equal(new.colors, colors)
-        assert_same_records(new.iterations, records)
-        assert_same(new.total_cycles, total, "total_cycles")
-
-
-@pytest.mark.parametrize("dataset", suite.suite_names())
-@pytest.mark.parametrize("window", [4, 32])
-def test_windowed_loop_matches_per_sweep_loop(dataset, window):
-    graph = suite.build(dataset, "small")
-    for config in served_configs():
-        new = windowed_speculative_coloring(graph, fresh_executor(config), seed=5, window=window)
-        colors, records, total = reference_windowed(
-            graph, fresh_executor(config), window=window, seed=5
-        )
-        assert np.array_equal(new.colors, colors)
-        assert_same_records(new.iterations, records)
-        assert_same(new.total_cycles, total, "total_cycles")

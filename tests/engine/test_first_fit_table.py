@@ -1,12 +1,12 @@
 """The forbidden-color table first-fit against the slot layout it replaced.
 
-``NumpyBackend.first_fit_colors`` and ``window_first_fit`` scatter the
-neighbor colors of the requested rows into one ``(rows, slots + 1)``
-bool table (in blocks of at most ``TABLE_BUDGET`` entries) and take each
-row's first unset column. The ``_reference_*`` functions below are the
-previous forms: a segmented slot array of ``deg + 1`` candidates per row
-reduced with ``minimum.reduceat``, and a full ``(rows, window)`` table
-per call. Values and dtype must match exactly, for any block budget.
+``NumpyBackend.first_fit_colors`` scatters the neighbor colors of the
+requested rows into one ``(rows, slots + 1)`` bool table (in blocks of
+at most ``TABLE_BUDGET`` entries) and takes each row's first unset
+column. ``_reference_first_fit`` below is the previous form: a segmented
+slot array of ``deg + 1`` candidates per row reduced with
+``minimum.reduceat``. Values and dtype must match exactly, for any block
+budget.
 """
 
 import tracemalloc
@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coloring.base import UNCOLORED
-from repro.coloring.windowed import window_first_fit
 from repro.engine import backend
 from repro.engine.backend import NumpyBackend
 from repro.graphs.csr import CSRGraph
@@ -52,27 +51,6 @@ def _reference_first_fit(graph, colors, vertices):
     in_seg = np.arange(total, dtype=np.int64) - np.repeat(slot_start[:-1], slots)
     candidate = np.where(blocked, np.iinfo(np.int64).max, in_seg)
     return np.minimum.reduceat(candidate, slot_start[:-1]).astype(np.int64)
-
-
-def _reference_window_first_fit(graph, colors, vertices, base, window):
-    verts = np.asarray(vertices, dtype=np.int64).ravel()
-    if verts.size == 0:
-        return np.empty(0, dtype=np.int64)
-    cols = np.asarray(colors, dtype=np.int64)
-
-    blocked = np.zeros((verts.size, window), dtype=bool)
-    starts = graph.indptr[verts]
-    counts = graph.indptr[verts + 1] - starts
-    if counts.sum():
-        row = np.repeat(np.arange(verts.size), counts)
-        offsets = np.repeat(starts - np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-        entry = np.arange(int(counts.sum()), dtype=np.int64) + offsets
-        nbr_color = cols[graph.indices[entry]]
-        inwin = (nbr_color >= base) & (nbr_color < base + window)
-        blocked[row[inwin], nbr_color[inwin] - base] = True
-
-    free = ~blocked
-    return np.where(free.any(axis=1), base + free.argmax(axis=1), -1).astype(np.int64)
 
 
 def _star(leaves, extra=0):
@@ -128,16 +106,6 @@ class TestFirstFitTable:
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
 
-    @given(cases(), st.integers(0, 6), st.integers(1, 9))
-    @settings(max_examples=200, deadline=None)
-    def test_window_matches_reference(self, case, base, window):
-        graph, colors, vertices, budget = case
-        with mock.patch.object(backend, "TABLE_BUDGET", budget):
-            got = window_first_fit(graph, colors, vertices, base, window)
-        want = _reference_window_first_fit(graph, colors, vertices, base, window)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, want)
-
     def test_edgeless_rows_and_no_colored_neighbor(self):
         g = _star(3, extra=2)
         ff = NumpyBackend().first_fit_colors
@@ -145,13 +113,6 @@ class TestFirstFitTable:
         assert ff(g, uncolored, np.arange(g.num_vertices)).tolist() == [0] * 6
         colors = np.array([UNCOLORED, 0, 1, 2, 7, 7], dtype=np.int64)
         assert ff(g, colors, np.array([4, 5, 0, 1])).tolist() == [0, 0, 3, 0]
-
-    def test_full_window_with_colors_past_it(self):
-        g = _star(5)
-        colors = np.array([UNCOLORED, 0, 1, 2, 3, 9], dtype=np.int64)
-        assert window_first_fit(g, colors, np.array([0, 1]), 0, 3).tolist() == [-1, 0]
-        assert window_first_fit(g, colors, np.array([0]), 1, 3).tolist() == [-1]
-        assert window_first_fit(g, colors, np.array([0]), 2, 3).tolist() == [4]
 
     def test_hub_among_leaves_is_blocked(self):
         # 20,001 rows x 20,001 columns would be a ~400 MB table unblocked

@@ -1,5 +1,6 @@
 """Unit tests for graph file I/O."""
 
+import functools
 import gzip
 import tracemalloc
 
@@ -153,6 +154,11 @@ class TestEdgeListParsing:
         g = gio.read_edge_list(p, num_vertices=10)
         assert g.num_vertices == 10
 
+    def test_non_ascii_digit_comment_is_a_comment(self, tmp_path):
+        p = tmp_path / "g.el"
+        p.write_text("# \u00b2 vertices\n0 1\n", encoding="utf-8")
+        assert gio.read_edge_list(p).num_vertices == 2
+
 
 @pytest.mark.parametrize(
     "name,text,reader,line,token",
@@ -174,6 +180,49 @@ def test_non_integer_field_names_its_line(tmp_path, name, text, reader, line, to
     assert exc.value.line == line
     assert str(exc.value).startswith(f"{p}:{line}: ")
     assert repr(token) in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "name,text,reader,line,message",
+    [
+        ("bad.col", "p edge 3 1\ne 0 1\n", gio.read_dimacs_coloring, 2, "id 0 outside [1, 3]"),
+        ("bad.col", "p edge 3 2\ne 1 2\ne 2 9\n", gio.read_dimacs_coloring, 3, "vertex id 9"),
+        ("bad.col", "c x\np edge -3 1\n", gio.read_dimacs_coloring, 2, "vertex count -3"),
+        ("bad.col", "e 1 2\np edge 3 1\n", gio.read_dimacs_coloring, 1, "before the problem"),
+        ("bad.col", "p edge 3 1\ne 1 3\np edge 2 1\n", gio.read_dimacs_coloring, 3, "second"),
+        ("bad.graph", "3 2\n2\n1 4\n\n", gio.read_metis, 3, "vertex id 4 outside [1, 3]"),
+        ("bad.graph", "% c\n2 1\n0\n1\n", gio.read_metis, 3, "vertex id 0"),
+        ("bad.graph", "-3 1\n", gio.read_metis, 1, "vertex count -3"),
+        ("bad.el", "# c\n-1 2\n", gio.read_edge_list, 2, "vertex id -1"),
+        ("bad.el", "# 3 vertices, 1 edges\n0 5\n", gio.read_edge_list, 2, "id 5 outside [0, 2]"),
+        ("bad.el", "0 5\n# 3 vertices, 1 edges\n", gio.read_edge_list, 2, "earlier edge"),
+        ("bad.el", "0 1\n1 3\n", functools.partial(gio.read_edge_list, num_vertices=3), 2, "id 3"),
+        ("bad.el", "# 99999999999 vertices\n", gio.read_edge_list, 1, "vertex count 99999999999"),
+    ],
+    ids=[
+        "dimacs-id-zero",
+        "dimacs-id-past-n",
+        "dimacs-negative-count",
+        "dimacs-edge-before-problem",
+        "dimacs-second-problem",
+        "metis-id-past-n",
+        "metis-id-zero",
+        "metis-negative-count",
+        "edge-list-negative-id",
+        "edge-list-id-past-header",
+        "edge-list-header-after-edge",
+        "edge-list-id-past-argument",
+        "edge-list-count-over-int32",
+    ],
+)
+def test_vertex_out_of_range_names_its_line(tmp_path, name, text, reader, line, message):
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(gio.GraphFormatError) as exc:
+        reader(p)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"{p}:{line}: ")
+    assert message in str(exc.value)
 
 
 MM_BANNER = "%%MatrixMarket matrix coordinate pattern symmetric\n% a comment\n"

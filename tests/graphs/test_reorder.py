@@ -11,7 +11,6 @@ from repro.graphs import generators as gen
 from repro.graphs.csr import CSRGraph
 from repro.graphs.reorder import (
     _positions_to_perm,
-    apply_order,
     bandwidth,
     bfs_order,
     degree_order,
@@ -32,7 +31,7 @@ class TestPermutationContract:
 
     def test_preserves_structure(self, order_fn):
         g = gen.erdos_renyi(150, avg_degree=6, seed=1)
-        h = apply_order(g, order_fn(g))
+        h = g.permute(order_fn(g))
         assert h.num_edges == g.num_edges
         assert np.array_equal(np.sort(h.degrees), np.sort(g.degrees))
 

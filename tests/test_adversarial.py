@@ -96,14 +96,6 @@ class TestExpectedStructuralAnswers:
         hybrid = RunContext().executor(mapping="hybrid").time_iteration(g.degrees).cycles
         assert hybrid < 0.25 * thread
 
-    def test_distance2_star_all_distinct(self):
-        from repro.coloring.distance2 import greedy_distance2, validate_distance2
-
-        g = gen.star(300)
-        r = greedy_distance2(g)
-        validate_distance2(g, r.colors)
-        assert r.num_colors == 301
-
     def test_sequential_handles_long_path(self):
         from repro.coloring.sequential import dsatur
 

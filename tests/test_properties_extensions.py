@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the extension modules.
 
-Covers the invariants added after the core reproduction: distance-2
-validity, Jacobian recovery exactness, donation/builder conservation,
+Covers the invariants added after the core reproduction: Jacobian
+recovery exactness, donation conservation,
 incremental-stream validity, reorder bijection properties, and the
 detailed model's bounds.
 """
@@ -12,11 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.coloring.distance2 import (
-    greedy_distance2,
-    speculative_distance2,
-    validate_distance2,
-)
 from repro.coloring.incremental import IncrementalColoring
 from repro.coloring.jacobian import (
     column_intersection_coloring,
@@ -25,7 +20,6 @@ from repro.coloring.jacobian import (
 )
 from repro.coloring.recolor import recolor_greedy
 from repro.coloring.sequential import greedy_first_fit
-from repro.graphs.builder import GraphBuilder
 from repro.graphs.csr import CSRGraph
 from repro.graphs.reorder import bfs_order, degree_order, random_order, rcm_order
 from repro.gpusim.detailed import DetailedParams, simulate_cu_detailed
@@ -45,25 +39,6 @@ def edge_lists(draw, max_vertices=30, max_edges=90):
 def random_graphs(draw, max_vertices=30, max_edges=90):
     n, u, v = draw(edge_lists(max_vertices, max_edges))
     return CSRGraph.from_edges(u, v, num_vertices=n)
-
-
-class TestDistance2Properties:
-    @given(random_graphs())
-    @settings(max_examples=25, deadline=None)
-    def test_greedy_d2_always_valid(self, g):
-        validate_distance2(g, greedy_distance2(g).colors)
-
-    @given(random_graphs(max_vertices=20, max_edges=40), st.integers(0, 100))
-    @settings(max_examples=20, deadline=None)
-    def test_speculative_d2_always_valid(self, g, seed):
-        validate_distance2(g, speculative_distance2(g, seed=seed).colors)
-
-    @given(random_graphs())
-    @settings(max_examples=20, deadline=None)
-    def test_d2_never_fewer_colors_than_d1(self, g):
-        d2 = greedy_distance2(g).num_colors
-        d1 = greedy_first_fit(g).num_colors
-        assert d2 >= d1
 
 
 class TestJacobianProperties:
@@ -107,17 +82,6 @@ class TestDonationProperties:
         assert res.chunks_executed.sum() == costs.size
         assert res.busy_cycles.sum() == pytest.approx(costs.sum())
         assert res.makespan_cycles >= costs.max() * (1 - 1e-9)
-
-
-class TestBuilderProperties:
-    @given(edge_lists())
-    @settings(max_examples=30, deadline=None)
-    def test_builder_matches_from_edges(self, data):
-        n, u, v = data
-        ref = CSRGraph.from_edges(u, v, num_vertices=n)
-        b = GraphBuilder(flush_at=7)
-        b.add_edges(zip(u.tolist(), v.tolist()))
-        assert b.build(num_vertices=n) == ref
 
 
 class TestIncrementalProperties:
